@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bench as benchmod
 from .datagen import GenSpec, encounter_schema, generate, lab_schema
-from .engine import Engine, ResultTable, result_types
+from .engine import Engine, ResultTable
 from .errors import StripehouseError, UnknownTable
 from .ingest import ingest_csv
 from .planner import (

@@ -14,10 +14,13 @@ satisfies only ``!=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .errors import TypeMismatch
 from .schema import ColumnType
+from .values import check_value
 
 
 @dataclass
@@ -83,10 +86,6 @@ class LazyStrColumn:
 Column = NumColumn | StrColumn | LazyStrColumn
 
 
-def _materialize_str(col: Column) -> StrColumn:
-    return col.decode() if isinstance(col, LazyStrColumn) else col
-
-
 def conjunct_mask(col: Column, op: str, value) -> np.ndarray:
     """Boolean mask of rows whose (non-NULL) value satisfies ``op value``."""
     if isinstance(col, (StrColumn, LazyStrColumn)):
@@ -142,6 +141,47 @@ def take(col: Column, idx: np.ndarray) -> Column:
     return NumColumn(col.data[idx], None if col.valid is None else col.valid[idx])
 
 
+def filter_project(cols: dict[int, Column], conjuncts, projection,
+                   n_rows: int) -> tuple[int, list[Column]] | None:
+    """``(rows, columns in projection order)`` of the rows passing ``conjuncts``.
+
+    None when no row passes.
+    """
+    mask = predicate_mask(cols, conjuncts)
+    if mask is None:
+        return n_rows, [cols[i] for i in projection]
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
+        return None
+    return len(idx), [take(cols[i], idx) for i in projection]
+
+
+def filter_rows(cols: dict[int, Column], conjuncts, projection, types,
+                n_rows: int) -> list[tuple]:
+    """Row tuples of the rows passing ``conjuncts``, in projection order."""
+    kept = filter_project(cols, conjuncts, projection, n_rows)
+    if kept is None:
+        return []
+    n, out = kept
+    values = [column_to_values(col, types[i]) for col, i in zip(out, projection)]
+    return list(zip(*values)) if values else [()] * n
+
+
+def concat(cols: list[Column]) -> NumColumn | StrColumn:
+    """One decoded column holding the rows of ``cols`` in order."""
+    cols = [c.decode() if isinstance(c, LazyStrColumn) else c for c in cols]
+    if len(cols) == 1:
+        return cols[0]
+    if any(c.valid is not None for c in cols):
+        valid = np.concatenate([
+            c.valid if c.valid is not None else np.ones(len(c), dtype=bool)
+            for c in cols
+        ])
+    else:
+        valid = None
+    return type(cols[0])(np.concatenate([c.data for c in cols]), valid)
+
+
 def column_from_values(values, ctype: ColumnType) -> Column:
     """Build a column from a sequence of Python values (None = NULL)."""
     n = len(values)
@@ -166,6 +206,34 @@ def column_from_values(values, ctype: ColumnType) -> Column:
         else:
             data[i] = v
     return NumColumn(data, valid if any_null else None)
+
+
+def write_rows(writer, rows, batch_rows: int, *, partition_id: int,
+               worker_id: int):
+    """Type-checked row tuples through ``writer``, ``batch_rows`` at a time.
+
+    ``writer`` has the ``append_columns`` / ``abort`` / ``close`` methods of
+    the storage writers; returns what ``close`` returns.
+    """
+    schema = writer.schema
+    it = iter(rows)
+    try:
+        while batch := list(islice(it, batch_rows)):
+            for row in batch:
+                if len(row) != schema.arity:
+                    raise TypeMismatch(
+                        f"row arity {len(row)} != schema arity {schema.arity}"
+                    )
+                for col, value in zip(schema.columns, row):
+                    check_value(value, col.ctype, col.nullable, col.name)
+            writer.append_columns([
+                column_from_values([r[i] for r in batch], c.ctype)
+                for i, c in enumerate(schema.columns)
+            ])
+    except BaseException:
+        writer.abort()
+        raise
+    return writer.close(partition_id=partition_id, worker_id=worker_id)
 
 
 def column_to_values(col: Column, ctype: ColumnType) -> list:

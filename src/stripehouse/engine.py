@@ -16,14 +16,13 @@ Timing uses a monotonic clock.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import shutil
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +35,11 @@ from .planner import (
     AggSpec,
     ExecConfig,
     JoinOp,
-    MetadataCountOp,
     PhysicalPlan,
     ScanOp,
     ShuffleOp,
 )
-from .predicate import OPS, row_passes
+from .predicate import row_passes
 from .rowtext import ScanStats, scan_rowtext_columnar
 from .schema import ColumnType, StorageFormat, resolve_data_root
 from .sql import ResolvedQuery
@@ -65,7 +63,12 @@ def fnv1a64_int(value: int) -> int:
 
 
 def _fnv_int64_vector(keys: np.ndarray) -> np.ndarray:
-    """FNV-1a over each key's 8 little-endian bytes, vectorized."""
+    """FNV-1a over each key's 8 little-endian bytes, vectorized.
+
+    Float keys hash their IEEE-754 bits, with -0.0 folded into 0.0.
+    """
+    if keys.dtype == np.float64:
+        keys = (keys + 0.0).view(np.int64)
     b = keys.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
     h = np.full(len(keys), FNV_OFFSET, dtype=np.uint64)
     prime = np.uint64(FNV_PRIME)
@@ -411,27 +414,22 @@ class _QueryState:
         task = op.tasks[task_idx]
         pred_cols = {c.col for c in op.conjuncts}
         needed = sorted(set(op.projection) | pred_cols)
-        schema = None
         batches: list[Batch] = []
-        stats = ScanStats()
         if op.fmt is StorageFormat.STRIPE:
             footer = self.plan.footers[task.path]
             cols, nbytes = stripefile.read_stripe_columns(
                 task.path, footer, task.stripe_index, needed
             )
-            stats.bytes_read += nbytes
-            stats.rows_read += task.rows
-            b = self._apply_predicate(op, cols, task.rows)
-            if b is not None:
-                batches.append(b)
+            stats = ScanStats(rows_read=task.rows, bytes_read=nbytes)
+            parts = [(task.rows, cols)]
         else:
-            inner = scan_rowtext_columnar(task.path, self._schema_for(op), needed,
+            parts = scan_rowtext_columnar(task.path, self._schema_for(op), needed,
                                           ENGINE_BATCH_ROWS)
-            for n_rows, cols in inner:
-                b = self._apply_predicate(op, cols, n_rows)
-                if b is not None:
-                    batches.append(b)
-            stats = inner.stats
+            stats = parts.stats
+        for n_rows, cols in parts:
+            kept = C.filter_project(cols, op.conjuncts, op.projection, n_rows)
+            if kept is not None:
+                batches.append(Batch(*kept))
         with self._metrics_lock:
             self.metrics.rows_read += stats.rows_read
             self.metrics.bytes_read += stats.bytes_read
@@ -442,16 +440,6 @@ class _QueryState:
             if entry.schema.table_name == op.table:
                 return entry.schema
         raise AssertionError(op.table)
-
-    def _apply_predicate(self, op: ScanOp, cols: dict, n_rows: int) -> Batch | None:
-        mask = C.predicate_mask(cols, op.conjuncts)
-        if mask is not None:
-            idx = np.flatnonzero(mask)
-            if len(idx) == 0:
-                return None
-            out = [C.take(cols[i], idx) for i in op.projection]
-            return Batch(len(idx), out)
-        return Batch(n_rows, [cols[i] for i in op.projection])
 
     # --- shuffle ---
 
@@ -478,6 +466,10 @@ class _QueryState:
                 h = _fnv_int64_vector(key_col.data)
             buckets = (h % np.uint64(r)).astype(np.int64)
             valid = key_col.valid
+            if key_col.data.dtype == np.float64:
+                # NaN equals nothing, so NaN keys go with NULL keys
+                not_nan = ~np.isnan(key_col.data)
+                valid = not_nan if valid is None else valid & not_nan
             for b in np.unique(buckets):
                 sel = buckets == b
                 if valid is not None:
@@ -548,9 +540,9 @@ class _QueryState:
         self.op_batches[op.op_id][bucket] = out
 
     def _hash_join(self, op: JoinOp, build: list[Batch], probe: list[Batch]) -> Batch | None:
-        bkey_col = _concat_cols([b.cols[op.build_key_pos] for b in build])
+        bkey_col = C.concat([b.cols[op.build_key_pos] for b in build])
         build_cols = [
-            _concat_cols([b.cols[p] for b in build]) for p in op.build_out
+            C.concat([b.cols[p] for b in build]) for p in op.build_out
         ]
         if isinstance(bkey_col, C.StrColumn):
             table: dict[str, list[int]] = {}
@@ -582,7 +574,7 @@ class _QueryState:
                 return None
             build_idx = np.concatenate(build_idx_parts)
             out_cols = [
-                _concat_cols(parts) for parts in probe_cols_parts
+                C.concat(parts) for parts in probe_cols_parts
             ] + [C.take(bc, build_idx) for bc in build_cols]
             n = len(build_idx)
             return Batch(n, out_cols)
@@ -590,7 +582,7 @@ class _QueryState:
         bkeys = bkey_col.data
         order = np.argsort(bkeys, kind="stable")
         skeys = bkeys[order]
-        pkey_col = _concat_cols([b.cols[op.probe_key_pos] for b in probe])
+        pkey_col = C.concat([b.cols[op.probe_key_pos] for b in probe])
         pkeys = pkey_col.data
         lo = np.searchsorted(skeys, pkeys, side="left")
         hi = np.searchsorted(skeys, pkeys, side="right")
@@ -604,7 +596,7 @@ class _QueryState:
         within = np.arange(total) - np.repeat(offsets, counts)
         build_idx = order[starts + within]
         probe_cols = [
-            C.take(_concat_cols([b.cols[p] for b in probe]), probe_idx)
+            C.take(C.concat([b.cols[p] for b in probe]), probe_idx)
             for p in op.probe_out
         ]
         out_cols = probe_cols + [C.take(bc, build_idx) for bc in build_cols]
@@ -741,24 +733,6 @@ class _QueryState:
         return rows
 
 
-def _concat_cols(cols: list) -> C.Column:
-    cols = [c.decode() if isinstance(c, C.LazyStrColumn) else c for c in cols]
-    if len(cols) == 1:
-        return cols[0]
-    n = sum(len(c) for c in cols)
-    if any(c.valid is not None for c in cols):
-        valid = np.concatenate([
-            c.valid if c.valid is not None else np.ones(len(c), dtype=bool)
-            for c in cols
-        ])
-    else:
-        valid = None
-    data = np.concatenate([c.data for c in cols])
-    if isinstance(cols[0], C.StrColumn):
-        return C.StrColumn(data, valid)
-    return C.NumColumn(data, valid)
-
-
 def execute(plan: PhysicalPlan, config: ExecConfig, data_root=None):
     """One-shot convenience wrapper around Engine.execute."""
     return Engine(data_root).execute(plan, config)
@@ -781,16 +755,17 @@ def brute_force(query: ResolvedQuery, tables: dict[str, list[tuple]]) -> ResultT
 
     if query.join_cols is not None:
         left_key, right_key = query.join_cols
+        # NULL and NaN keys equal nothing (a dict would match one NaN object)
         build: dict = {}
         for r in filtered[1]:
             k = r[right_key.index]
-            if k is None:
+            if k is None or k != k:
                 continue
             build.setdefault(k, []).append(r)
         joined = []
         for r in filtered[0]:
             k = r[left_key.index]
-            if k is None:
+            if k is None or k != k:
                 continue
             for rr in build.get(k, ()):
                 joined.append((r, rr))

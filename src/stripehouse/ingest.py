@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import csv
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
 from . import columns as C
 from .errors import ArityError, HeaderMismatch, IoFailure, ParseError
-from .rowtext import EXTENSION as RTX_EXT
+from .rowtext import EXTENSION as RTX_EXT, RowtextWriter, decode_column
 from .schema import (
     DEFAULT_PARTITIONS,
     DEFAULT_WORKERS,
     Catalog,
-    ColumnType,
     StorageFormat,
     TableEntry,
     TableSchema,
@@ -50,106 +48,6 @@ def _header_map(header: list[str], schema: TableSchema, path) -> list[int]:
             f"{path}: header {names} does not match schema columns {want}"
         )
     return [names.index(w) for w in want]
-
-
-def _parse_column(fields: list[str], ctype: ColumnType, *, csv_rows: list[int],
-                  csv_col: int) -> C.Column:
-    """Vectorized text-to-value conversion; empty field -> NULL."""
-    if ctype is ColumnType.STRING:
-        # dedupe within the batch: low-cardinality columns share objects
-        memo: dict[str, str] = {}
-        data = np.array([memo.setdefault(f, f) for f in fields], dtype=object)
-        valid = data != ""
-        if valid.all():
-            return C.StrColumn(data, None)
-        data[~valid] = None
-        return C.StrColumn(data, valid)
-    u = np.asarray(fields)
-    valid = u != ""
-    all_valid = bool(valid.all())
-    try:
-        if ctype is ColumnType.INT64:
-            data = (u if all_valid else np.where(valid, u, "0")).astype(np.int64)
-        elif ctype is ColumnType.FLOAT64:
-            data = (u if all_valid else np.where(valid, u, "0")).astype(np.float64)
-        else:
-            src = u if all_valid else np.where(valid, u, "1970-01-01")
-            data = src.astype("datetime64[D]").astype(np.int64)
-    except ValueError:
-        for j, text in enumerate(fields):
-            if text == "":
-                continue
-            try:
-                if ctype is ColumnType.INT64:
-                    int(text)
-                elif ctype is ColumnType.FLOAT64:
-                    float(text)
-                else:
-                    np.datetime64(text, "D")
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse {ctype.value} value {text!r}",
-                    row=csv_rows[j],
-                    column=csv_col + 1,
-                ) from None
-        raise
-    return C.NumColumn(data, None if all_valid else valid)
-
-
-def _format_column(col: C.Column, ctype: ColumnType) -> list[str]:
-    """Canonical field text per value for row-text output."""
-    if isinstance(col, C.StrColumn):
-        if col.valid is None:
-            return list(col.data)
-        return [v if v is not None else "" for v in col.data]
-    data = col.data
-    if ctype is ColumnType.FLOAT64:
-        out = [repr(v) for v in data.tolist()]
-    elif ctype is ColumnType.DATE:
-        out = [str(d) for d in data.astype("datetime64[D]")]
-    else:
-        out = [str(v) for v in data.tolist()]
-    if col.valid is not None:
-        for i in np.flatnonzero(~col.valid):
-            out[i] = ""
-    return out
-
-
-class _RowtextPartWriter:
-    def __init__(self, path: Path, schema: TableSchema):
-        self.path = path
-        self.schema = schema
-        self.rows = 0
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._f = open(path, "w", encoding="utf-8", newline="")
-        except OSError as e:
-            raise IoFailure(f"cannot write {path}: {e}") from e
-
-    def append_columns(self, cols: list[C.Column]) -> None:
-        texts = [
-            _format_column(col, c.ctype)
-            for col, c in zip(cols, self.schema.columns)
-        ]
-        n = len(texts[0])
-        lines = ["|".join(row) + "\n" for row in zip(*texts)]
-        try:
-            self._f.write("".join(lines))
-        except OSError as e:
-            raise IoFailure(f"cannot write {self.path}: {e}") from e
-        self.rows += n
-
-    def close(self, *, partition_id: int, worker_id: int):
-        from .schema import PartitionDescriptor
-
-        self._f.close()
-        return PartitionDescriptor(
-            partition_id=partition_id,
-            worker_id=worker_id,
-            path=str(self.path),
-            format=StorageFormat.ROWTEXT,
-            row_count=self.rows,
-        )
 
 
 def ingest_csv(catalog: Catalog, table: str, csv_path, *,
@@ -181,16 +79,20 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
 
         writers: list = []
         next_part = len(entry.partitions)
-        for b, cols in enumerate(batches):
-            slot = b % partitions
-            if slot >= len(writers):
-                pid = next_part + slot
-                path = base / f"part-{pid:05d}{ext}"
-                if fmt is StorageFormat.STRIPE:
-                    writers.append(StripeWriter(schema, path, stripe_size))
-                else:
-                    writers.append(_RowtextPartWriter(path, schema))
-            writers[slot].append_columns(cols)
+        try:
+            for b, cols in enumerate(batches):
+                slot = b % partitions
+                if slot >= len(writers):
+                    path = base / f"part-{next_part + slot:05d}{ext}"
+                    if fmt is StorageFormat.STRIPE:
+                        writers.append(StripeWriter(schema, path, stripe_size))
+                    else:
+                        writers.append(RowtextWriter(schema, path))
+                writers[slot].append_columns(cols)
+        except BaseException:
+            for w in writers:
+                w.abort()
+            raise
 
     for slot, w in enumerate(writers):
         pid = next_part + slot
@@ -201,7 +103,8 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
 
 def _read_batches(reader, schema: TableSchema, field_pos: list[int],
                   batch_rows: int, csv_path):
-    """Yield per-batch column lists in schema order."""
+    """Yield per-batch column lists in schema order; NULL in a NOT NULL
+    column is a ParseError."""
     arity = len(field_pos)
     line_no = 1  # header consumed
     while True:
@@ -215,15 +118,16 @@ def _read_batches(reader, schema: TableSchema, field_pos: list[int],
                 raise ArityError(
                     f"{csv_path}: row {line_no} has {len(r)} fields, expected {arity}"
                 )
-        csv_rows = list(range(first_line, line_no + 1))
         cols = []
-        for i, col_schema in enumerate(schema.columns):
-            pos = field_pos[i]
-            fields = [r[pos] for r in rows]
-            cols.append(
-                _parse_column(fields, col_schema.ctype,
-                              csv_rows=csv_rows, csv_col=pos)
-            )
+        for col_schema, pos in zip(schema.columns, field_pos):
+            def bad(j, message):
+                return ParseError(message, row=first_line + j, column=pos + 1)
+
+            col = decode_column([r[pos] for r in rows], col_schema.ctype, bad)
+            if not col_schema.nullable and col.valid is not None:
+                raise bad(int(np.argmin(col.valid)),
+                          f"column {col_schema.name} is not nullable")
+            cols.append(col)
         yield cols
 
 
@@ -236,16 +140,10 @@ def _sorted_batches(batches, schema: TableSchema, sort_by: str, batch_rows: int)
             collected[i].append(col)
     if not collected[0]:
         return
-    from .stripefile import _concat_columns
-
-    merged = [
-        _concat_columns(parts, c.ctype)
-        for parts, c in zip(collected, schema.columns)
-    ]
+    merged = [C.concat(parts) for parts in collected]
     collected.clear()
     key = merged[key_idx]
-    if isinstance(key, (C.StrColumn, C.LazyStrColumn)):
-        key = C._materialize_str(key)
+    if isinstance(key, C.StrColumn):
         if key.valid is not None:
             u = key.data.copy()
             u[~key.valid] = ""

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import TypeMismatch
 from .predicate import Conjunct
-from .schema import Catalog, ColumnType, StorageFormat, TableEntry, TableSchema
+from .schema import Catalog, ColumnType, StorageFormat, TableEntry
 from .sql import ResolvedQuery
 from . import stripefile
 
@@ -437,13 +436,3 @@ def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
         shuffle=shuffle_rows * constants.per_shuffle_row,
         coordination=constants.coordination * E * n_stages,
     )
-
-
-def cost_sweep(plan_for, executor_values, cores: int = 1,
-               constants: CostConstants = DEFAULT_COSTS) -> list[tuple[int, CostEstimate]]:
-    """Cost table over executor counts. ``plan_for(config)`` builds the plan."""
-    out = []
-    for e in executor_values:
-        cfg = ExecConfig(executors=e, cores_per_executor=cores)
-        out.append((e, estimate_cost(plan_for(cfg), cfg, constants)))
-    return out

@@ -5,7 +5,9 @@ empty field, no header. Counting or filtering always scans the whole file,
 so ``rows_read`` equals the file's row count no matter the predicate.
 
 Note the format cannot distinguish an empty string from NULL; both encode
-as an empty field and read back as NULL.
+as an empty field and read back as NULL. A string holding ``|``, ``\\n`` or
+``\\r`` cannot be written. ``encode_column`` and ``decode_column`` are the
+only code that knows this encoding.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from . import columns as C
 from .errors import IllegalCharacter, IoFailure, MalformedRecord
 from .schema import ColumnType, PartitionDescriptor, StorageFormat, TableSchema
-from .values import check_value, format_value
 
 DEFAULT_BATCH_ROWS = 4096
 EXTENSION = ".rtx"
@@ -33,49 +34,37 @@ class ScanStats:
     stripes_total: int = 0
     stripes_pruned: int = 0
 
-    def merge(self, other: "ScanStats") -> None:
-        self.rows_read += other.rows_read
-        self.bytes_read += other.bytes_read
-        self.stripes_total += other.stripes_total
-        self.stripes_pruned += other.stripes_pruned
+
+def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
+    """Field text per value: FLOAT64 as shortest round-trip decimal, DATE as
+    ISO ``YYYY-MM-DD``, NULL as the empty field."""
+    if isinstance(col, C.StrColumn):
+        if col.valid is None:
+            return list(col.data)
+        return [v if v is not None else "" for v in col.data]
+    data = col.data
+    if ctype is ColumnType.FLOAT64:
+        out = [repr(v) for v in data.tolist()]
+    elif ctype is ColumnType.DATE:
+        out = [str(d) for d in data.astype("datetime64[D]")]
+    else:
+        out = [str(v) for v in data.tolist()]
+    if col.valid is not None:
+        for i in np.flatnonzero(~col.valid):
+            out[i] = ""
+    return out
 
 
-def write_rowtext(rows, schema: TableSchema, path, *, partition_id: int = 0,
-                  worker_id: int = 0) -> PartitionDescriptor:
-    """Write rows to one block file; byte-deterministic for identical input."""
-    path = Path(path)
-    n = 0
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            for row in rows:
-                fields = []
-                for col, value in zip(schema.columns, row):
-                    check_value(value, col.ctype, col.nullable, col.name)
-                    text = format_value(value, col.ctype)
-                    if "|" in text or "\n" in text or "\r" in text:
-                        raise IllegalCharacter(
-                            f"column {col.name} value {text!r} contains a delimiter"
-                        )
-                    fields.append(text)
-                f.write("|".join(fields))
-                f.write("\n")
-                n += 1
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
-    return PartitionDescriptor(
-        partition_id=partition_id,
-        worker_id=worker_id,
-        path=str(path),
-        format=StorageFormat.ROWTEXT,
-        row_count=n,
-    )
+def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
+    """Typed column from field texts; the empty field decodes to NULL.
 
-
-def _convert_column(fields: list[str], ctype: ColumnType, base_line: int) -> C.Column:
-    """Typed column from raw text fields; empty field decodes to NULL."""
+    Equal strings of one batch share one object. For the first unparsable
+    field, raises the exception ``bad_field(index_in_fields, message)``
+    returns, so each caller reports the position its own way.
+    """
     if ctype is ColumnType.STRING:
-        data = np.array(fields, dtype=object)
+        memo: dict[str, str] = {}
+        data = np.array(list(map(memo.setdefault, fields, fields)), dtype=object)
         valid = data != ""
         if valid.all():
             return C.StrColumn(data, None)
@@ -84,16 +73,15 @@ def _convert_column(fields: list[str], ctype: ColumnType, base_line: int) -> C.C
     u = np.asarray(fields)
     valid = u != ""
     all_valid = bool(valid.all())
+    if not all_valid:
+        u = np.where(valid, u, "1970-01-01" if ctype is ColumnType.DATE else "0")
     try:
         if ctype is ColumnType.INT64:
-            src = u if all_valid else np.where(valid, u, "0")
-            data = src.astype(np.int64)
+            data = u.astype(np.int64)
         elif ctype is ColumnType.FLOAT64:
-            src = u if all_valid else np.where(valid, u, "0")
-            data = src.astype(np.float64)
-        else:  # DATE
-            src = u if all_valid else np.where(valid, u, "1970-01-01")
-            data = src.astype("datetime64[D]").astype(np.int64)
+            data = u.astype(np.float64)
+        else:
+            data = u.astype("datetime64[D]").astype(np.int64)
     except ValueError:
         for j, text in enumerate(fields):
             if text == "":
@@ -106,11 +94,67 @@ def _convert_column(fields: list[str], ctype: ColumnType, base_line: int) -> C.C
                 else:
                     np.datetime64(text, "D")
             except ValueError:
-                raise MalformedRecord(
-                    f"unparsable {ctype.value} value {text!r}", base_line + j
-                ) from None
+                raise bad_field(j, f"unparsable {ctype.value} value {text!r}") from None
         raise
     return C.NumColumn(data, None if all_valid else valid)
+
+
+class RowtextWriter:
+    """Streaming writer of one block file; byte-deterministic for identical input."""
+
+    def __init__(self, schema: TableSchema, path):
+        self.schema = schema
+        self.path = Path(path)
+        self._rows = 0
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._f = open(self.path, "w", encoding="utf-8", newline="")
+        except OSError as e:
+            raise IoFailure(f"cannot write {self.path}: {e}") from e
+
+    def append_columns(self, cols: list[C.Column]) -> None:
+        """Append one batch; raises IllegalCharacter, writing nothing, when a
+        value holds ``|``, ``\\n`` or ``\\r``."""
+        texts = [encode_column(col, c.ctype) for col, c in zip(cols, self.schema.columns)]
+        n = len(texts[0])
+        text = "".join(["|".join(row) + "\n" for row in zip(*texts)])
+        seps = n * (self.schema.arity - 1)
+        if (text.count("|"), text.count("\n"), text.count("\r")) != (seps, n, 0):
+            name, value = next(
+                (c.name, v) for c, vs in zip(self.schema.columns, texts)
+                for v in vs if "|" in v or "\n" in v or "\r" in v
+            )
+            raise IllegalCharacter(f"column {name} value {value!r} contains a delimiter")
+        try:
+            self._f.write(text)
+        except OSError as e:
+            raise IoFailure(f"cannot write {self.path}: {e}") from e
+        self._rows += n
+
+    def abort(self) -> None:
+        """Close and delete the partly written file."""
+        self._f.close()
+        self.path.unlink(missing_ok=True)
+
+    def close(self, *, partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
+        try:
+            self._f.close()
+        except OSError as e:
+            raise IoFailure(f"cannot write {self.path}: {e}") from e
+        return PartitionDescriptor(
+            partition_id=partition_id,
+            worker_id=worker_id,
+            path=str(self.path),
+            format=StorageFormat.ROWTEXT,
+            row_count=self._rows,
+        )
+
+
+def write_rowtext(rows, schema: TableSchema, path, *, partition_id: int = 0,
+                  worker_id: int = 0) -> PartitionDescriptor:
+    """Write type-checked row tuples to one block file."""
+    return C.write_rows(RowtextWriter(schema, path), rows, DEFAULT_BATCH_ROWS,
+                        partition_id=partition_id, worker_id=worker_id)
 
 
 def scan_rowtext_columnar(path, schema: TableSchema, needed: list[int],
@@ -142,6 +186,10 @@ class _RowtextScan:
             raise IoFailure(f"cannot read {self.path}: {e}") from e
         self.stats.bytes_read = size
         line_no = 0
+
+        def bad(j, message):  # field j of the current batch
+            return MalformedRecord(message, base_line + j)
+
         with f:
             while True:
                 lines = list(islice(f, self.batch_rows))
@@ -174,7 +222,7 @@ class _RowtextScan:
                         per_col[k].append(parts[i])
                 self.stats.rows_read += len(lines)
                 cols = {
-                    i: _convert_column(per_col[k], self.schema.columns[i].ctype, base_line)
+                    i: decode_column(per_col[k], self.schema.columns[i].ctype, bad)
                     for k, i in enumerate(self.needed)
                 }
                 yield len(lines), cols
@@ -206,15 +254,6 @@ class _RowScan:
         self.stats = inner.stats
         types = [c.ctype for c in self._schema.columns]
         for n_rows, cols in inner:
-            mask = C.predicate_mask(cols, self._predicate)
-            if mask is not None:
-                idx = np.flatnonzero(mask)
-                if len(idx) == 0:
-                    continue
-                cols = {i: C.take(col, idx) for i, col in cols.items()}
-                n_rows = len(idx)
-            out_cols = [C.column_to_values(cols[i], types[i]) for i in self._projection]
-            if out_cols:
-                yield list(zip(*out_cols))
-            else:
-                yield [()] * n_rows
+            rows = C.filter_rows(cols, self._predicate, self._projection, types, n_rows)
+            if rows:
+                yield rows

@@ -42,7 +42,6 @@ from .schema import (
     StorageFormat,
     TableSchema,
 )
-from .values import check_value
 
 MAGIC = b"STRP"
 EXTENSION = ".stp"
@@ -93,8 +92,6 @@ def _column_stats(col: C.Column, ctype: ColumnType, n: int) -> dict:
     if null_count == n:
         return out
     if ctype is ColumnType.STRING:
-        if isinstance(col, C.LazyStrColumn):
-            col = col.decode()
         vals = col.data if valid is None else col.data[valid]
         mn, mx = min(vals), max(vals)
         mn, mn_t = _truncate_bound(mn)
@@ -126,11 +123,6 @@ def _pack_chunk(col: C.Column, ctype: ColumnType, n: int) -> bytes:
     else:
         parts.append(np.packbits(~col.valid, bitorder="little").tobytes())
     if ctype is ColumnType.STRING:
-        if isinstance(col, C.LazyStrColumn):
-            lengths = col.lengths.astype("<u4")
-            parts.append(lengths.tobytes())
-            parts.append(col.buf if isinstance(col.buf, bytes) else bytes(col.buf))
-            return b"".join(parts)
         encoded = []
         lengths = np.zeros(n, dtype="<u4")
         data = col.data
@@ -158,29 +150,7 @@ def _pack_chunk(col: C.Column, ctype: ColumnType, n: int) -> bytes:
 
 def _slice_column(col: C.Column, start: int, stop: int) -> C.Column:
     valid = None if col.valid is None else col.valid[start:stop]
-    if isinstance(col, C.LazyStrColumn):
-        b0, b1 = int(col.offsets[start]), int(col.offsets[stop])
-        return C.LazyStrColumn(col.lengths[start:stop], col.buf[b0:b1], valid)
-    if isinstance(col, C.StrColumn):
-        return C.StrColumn(col.data[start:stop], valid)
-    return C.NumColumn(col.data[start:stop], valid)
-
-
-def _concat_columns(cols: list[C.Column], ctype: ColumnType) -> C.Column:
-    if len(cols) == 1:
-        return cols[0]
-    n_total = sum(len(c) for c in cols)
-    valids = [c.valid for c in cols]
-    if any(v is not None for v in valids):
-        valid = np.concatenate(
-            [v if v is not None else np.ones(len(c), dtype=bool) for c, v in zip(cols, valids)]
-        )
-    else:
-        valid = None
-    if ctype is ColumnType.STRING:
-        mats = [c.decode() if isinstance(c, C.LazyStrColumn) else c for c in cols]
-        return C.StrColumn(np.concatenate([m.data for m in mats]), valid)
-    return C.NumColumn(np.concatenate([c.data for c in cols]), valid)
+    return type(col)(col.data[start:stop], valid)
 
 
 class StripeWriter:
@@ -214,34 +184,10 @@ class StripeWriter:
         while self._buffered >= self.stripe_size:
             self._emit(self.stripe_size)
 
-    def append_rows(self, rows) -> None:
-        """Type-checked row-tuple path."""
-        batch = []
-        for row in rows:
-            if len(row) != self.schema.arity:
-                raise TypeMismatch(
-                    f"row arity {len(row)} != schema arity {self.schema.arity}"
-                )
-            for col, value in zip(self.schema.columns, row):
-                check_value(value, col.ctype, col.nullable, col.name)
-            batch.append(row)
-            if len(batch) >= self.stripe_size:
-                self._append_row_batch(batch)
-                batch = []
-        if batch:
-            self._append_row_batch(batch)
-
-    def _append_row_batch(self, batch: list) -> None:
-        cols = [
-            C.column_from_values([r[i] for r in batch], c.ctype)
-            for i, c in enumerate(self.schema.columns)
-        ]
-        self.append_columns(cols)
-
     def _gather(self, count: int) -> list[C.Column]:
         out = []
-        for i, col_schema in enumerate(self.schema.columns):
-            merged = _concat_columns(self._segments[i], col_schema.ctype)
+        for i in range(self.schema.arity):
+            merged = C.concat(self._segments[i])
             if len(merged) > count:
                 out.append(_slice_column(merged, 0, count))
                 self._segments[i] = [_slice_column(merged, count, len(merged))]
@@ -276,6 +222,11 @@ class StripeWriter:
         self._rows += count
         self._buffered -= count
 
+    def abort(self) -> None:
+        """Close and delete the partly written file."""
+        self._f.close()
+        self.path.unlink(missing_ok=True)
+
     def close(self, *, partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
         if self._buffered:
             self._emit(self._buffered)
@@ -307,9 +258,9 @@ class StripeWriter:
 def write_stripes(rows, schema: TableSchema, path,
                   stripe_size: int = DEFAULT_STRIPE_SIZE, *,
                   partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
-    w = StripeWriter(schema, path, stripe_size)
-    w.append_rows(rows)
-    return w.close(partition_id=partition_id, worker_id=worker_id)
+    """Write type-checked row tuples to one stripe file."""
+    return C.write_rows(StripeWriter(schema, path, stripe_size), rows, stripe_size,
+                        partition_id=partition_id, worker_id=worker_id)
 
 
 def read_footer(path) -> StripeFooter:
@@ -602,21 +553,12 @@ class _StripeScan:
             if not keep:
                 continue
             cols, nbytes = read_stripe_columns(self._path, footer, si, needed)
-            stats.bytes_read += nbytes
-            stats.rows_read += footer.stripes[si].row_count
             n_rows = footer.stripes[si].row_count
-            mask = C.predicate_mask(cols, self._predicate)
-            if mask is not None:
-                idx = np.flatnonzero(mask)
-                if len(idx) == 0:
-                    continue
-                cols = {i: C.take(col, idx) for i, col in cols.items()}
-                n_rows = len(idx)
-            out_cols = [C.column_to_values(cols[i], types[i]) for i in self._projection]
-            if out_cols:
-                yield list(zip(*out_cols))
-            else:
-                yield [()] * n_rows
+            stats.bytes_read += nbytes
+            stats.rows_read += n_rows
+            rows = C.filter_rows(cols, self._predicate, self._projection, types, n_rows)
+            if rows:
+                yield rows
 
 
 def dump_footer(path) -> str:

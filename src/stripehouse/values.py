@@ -1,8 +1,5 @@
-"""Value model and text encodings.
-
-In memory: INT64 -> int, FLOAT64 -> float, STRING -> str, DATE -> int days
-since 1970-01-01, NULL -> None. Text form: FLOAT64 as shortest round-trip
-decimal, DATE as ISO YYYY-MM-DD, NULL as the empty field.
+"""Value model: INT64 -> int, FLOAT64 -> float, STRING -> str, DATE -> int
+days since 1970-01-01 (ISO YYYY-MM-DD in SQL and results), NULL -> None.
 """
 
 from __future__ import annotations
@@ -21,32 +18,6 @@ def days_to_iso(days: int) -> str:
 
 def iso_to_days(text: str) -> int:
     return (date.fromisoformat(text) - _EPOCH).days
-
-
-def format_value(value, ctype: ColumnType) -> str:
-    """Encode one value as field text; None encodes as the empty string."""
-    if value is None:
-        return ""
-    if ctype is ColumnType.INT64:
-        return str(value)
-    if ctype is ColumnType.FLOAT64:
-        return repr(float(value))
-    if ctype is ColumnType.DATE:
-        return days_to_iso(value)
-    return value
-
-
-def parse_value(text: str, ctype: ColumnType):
-    """Decode one text field; the empty string decodes to None."""
-    if text == "":
-        return None
-    if ctype is ColumnType.INT64:
-        return int(text)
-    if ctype is ColumnType.FLOAT64:
-        return float(text)
-    if ctype is ColumnType.DATE:
-        return iso_to_days(text)
-    return text
 
 
 def check_value(value, ctype: ColumnType, nullable: bool, col_name: str) -> None:

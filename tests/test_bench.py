@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +117,15 @@ def test_complex_cells_prune_on_stripe(bench_out):
     for r in rows:
         if r.scenario == "complex" and r.format == "stripe":
             assert r.stripes_pruned > 0
+
+
+def test_perfbench_tracer_finds_every_wrapped_name():
+    # a renamed storage or engine name must fail here, not only in traced runs
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(repo / "perfbench"), str(repo / "src")]))
+    code = ("import spans, workload\n"
+            "spans.install(spans.Tracer(), classify=workload.classify)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=repo,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stripehouse.engine import (
 from stripehouse.errors import MemoryBudgetExceeded
 from stripehouse.ingest import ingest_csv
 from stripehouse.planner import ExecConfig, plan
-from stripehouse.schema import Catalog, StorageFormat
+from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.sql import compile_text
 
 from query_gen import random_query
@@ -64,6 +65,31 @@ def test_fnv_vector_matches_scalar():
     vec = _fnv_int64_vector(keys)
     for k, h in zip(keys, vec):
         assert int(h) == fnv1a64_int(int(k))
+    floats = _fnv_int64_vector(np.array([-0.0, 0.0, 1.5]))
+    assert floats[0] == floats[1] != floats[2]
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+def test_float_join_keys_nan_and_signed_zero(tmp_path, fmt):
+    # NaN matches no key, as NULL; -0.0 = 0.0
+    cat = Catalog(tmp_path / "root")
+    cat.create_table(TableSchema.create("a", [("k", ColumnType.FLOAT64, True),
+                                              ("v", ColumnType.INT64, True)]), fmt)
+    cat.create_table(TableSchema.create("b", [("k", ColumnType.FLOAT64, True)]), fmt)
+    (tmp_path / "a.csv").write_text("k,v\nnan,10\n1.5,20\n-0.0,30\n,40\n")
+    (tmp_path / "b.csv").write_text("k\nnan\n1.5\n0.0\n\"\"\n1.7\n")
+    for t in ("a", "b"):
+        ingest_csv(cat, t, tmp_path / f"{t}.csv")
+    sql = "SELECT COUNT(*), SUM(x.v) FROM a x JOIN b y ON x.k = y.k"
+    raw = {
+        "a": [(math.nan, 10), (1.5, 20), (-0.0, 30), (None, 40)],
+        "b": [(math.nan,), (1.5,), (0.0,), (None,), (1.7,)],
+    }
+    assert brute_force(compile_text(sql, cat), raw).rows == [(2, 50.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res, _ = run(cat, sql)
+    assert res.rows == [(2, 50.0)]
 
 
 def test_count_on_empty_table(tmp_path):

@@ -1,11 +1,25 @@
+import csv
+import math
+from pathlib import Path
+
 import pytest
 
-from stripehouse.errors import ArityError, HeaderMismatch, ParseError, UnknownTable
+from stripehouse.engine import execute
+from stripehouse.errors import (
+    ArityError,
+    HeaderMismatch,
+    IllegalCharacter,
+    ParseError,
+    UnknownTable,
+)
 from stripehouse.ingest import ingest_csv
+from stripehouse.planner import ExecConfig, plan
 from stripehouse.predicate import Conjunct
-from stripehouse.rowtext import scan_rowtext
+from stripehouse.rowtext import scan_rowtext, write_rowtext
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
+from stripehouse.sql import compile_text
 from stripehouse.stripefile import prune_stripes, read_footer, scan_stripes
+from stripehouse.values import days_to_iso
 
 
 SCHEMA_COLS = [
@@ -43,12 +57,13 @@ def test_small_csv_single_partition(tmp_path):
 
 def test_rfc4180_unescaping(tmp_path):
     csv_path = tmp_path / "in.csv"
-    # field `"a,""b"""` decodes to `a,"b"`
-    csv_path.write_text('id,name,score,day\n1,"a,""b""",,\n', encoding="utf-8")
+    # field `"a,""b"""` decodes to `a,"b"`; a quoted field may hold | and \n
+    csv_path.write_text('id,name,score,day\n1,"a,""b""",,\n2,"p|\nq",,\n',
+                        encoding="utf-8")
     cat = make_catalog(tmp_path / "root")
     entry = ingest_csv(cat, "t", csv_path)
     got = [r for b in scan_stripes(entry.partitions[0].path, entry.schema) for r in b]
-    assert got[0][1] == 'a,"b"'
+    assert [r[1] for r in got] == ['a,"b"', "p|\nq"]
 
 
 def test_header_any_order_case_insensitive(tmp_path):
@@ -149,3 +164,69 @@ def test_empty_csv_zero_partitions(tmp_path):
     entry = ingest_csv(cat, "t", csv_path)
     assert entry.partitions == ()
     assert entry.row_count == 0
+
+
+KS_COLS = [("k", ColumnType.INT64, False), ("s", ColumnType.STRING, False)]
+
+
+def count_rows(cat, table):
+    q = compile_text(f"SELECT COUNT(*) FROM {table}", cat)
+    cfg = ExecConfig(executors=1, cores_per_executor=1)
+    res, _ = execute(plan(q, cat, cfg), cfg, cat.data_root)
+    return res.rows[0][0]
+
+
+def test_rowtext_ingest_rejects_delimiters(tmp_path):
+    root = tmp_path / "root"
+    cat = Catalog(root)
+    cat.create_table(TableSchema.create("d", KS_COLS), StorageFormat.ROWTEXT)
+    good = tmp_path / "good.csv"
+    good.write_text("k,s\n1,a\n", encoding="utf-8")
+    ingest_csv(cat, "d", good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text('k,s\n1,"x|y"\n2,"p\nq"\n3,ok\n', encoding="utf-8")
+    with pytest.raises(IllegalCharacter):
+        ingest_csv(cat, "d", bad)
+    cat = Catalog(root)
+    assert cat.get_table("d").row_count == 1
+    assert count_rows(cat, "d") == 1
+    assert [p.name for p in (root / "tables" / "d").iterdir()] == ["part-00000.rtx"]
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+@pytest.mark.parametrize("text, row, column", [
+    ("k,s\n,x\n2,\n", 2, 1),
+    ("s,k\nx,1\n,2\n", 3, 1),
+])
+def test_ingest_enforces_not_null(tmp_path, fmt, text, row, column):
+    cat = Catalog(tmp_path / "root")
+    cat.create_table(TableSchema.create("n", KS_COLS), fmt)
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as ei:
+        ingest_csv(cat, "n", csv_path)
+    assert (ei.value.row, ei.value.column) == (row, column)
+    assert Catalog(tmp_path / "root").get_table("n").row_count == 0
+
+
+def test_ingest_and_write_rowtext_same_bytes(tmp_path):
+    rows = [
+        (1, "a", 1.5, 11356),
+        (-2, "unicodé ☃", -0.0, 0),
+        (2**62, None, math.nan, -719162),
+        (3, "z", math.inf, None),
+        (4, "y", None, 2932896),
+        (-(2**63), "x", 1e-300, 17000),
+    ]
+    fields = [
+        ["" if v is None else days_to_iso(v) if i == 3 else repr(v) if i == 2 else str(v)
+         for i, v in enumerate(r)]
+        for r in rows
+    ]
+    csv_path = tmp_path / "in.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([["id", "name", "score", "day"], *fields])
+    cat = make_catalog(tmp_path / "root", StorageFormat.ROWTEXT)
+    entry = ingest_csv(cat, "t", csv_path, partitions=1)
+    write_rowtext(rows, entry.schema, tmp_path / "w.rtx")
+    assert Path(entry.partitions[0].path).read_bytes() == (tmp_path / "w.rtx").read_bytes()

@@ -1,12 +1,16 @@
 import math
 import random
+from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stripehouse import columns as C
 from stripehouse.errors import IllegalCharacter, MalformedRecord, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
-from stripehouse.rowtext import scan_rowtext, write_rowtext
+from stripehouse.rowtext import decode_column, encode_column, scan_rowtext, write_rowtext
 from stripehouse.schema import ColumnType, TableSchema
+from stripehouse.values import iso_to_days
 
 
 SCHEMA = TableSchema.create("t", [
@@ -40,6 +44,9 @@ def test_illegal_character(tmp_path):
         write_rowtext([(1, "x|y", 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(IllegalCharacter):
         write_rowtext([(1, "x\ny", 0.5)], SCHEMA, tmp_path / "p.rtx")
+    with pytest.raises(IllegalCharacter):
+        write_rowtext([(1, "ok", 0.5), (2, "x\ry", 0.5)], SCHEMA, tmp_path / "p.rtx")
+    assert not (tmp_path / "p.rtx").exists()
 
 
 def test_type_mismatch(tmp_path):
@@ -47,6 +54,8 @@ def test_type_mismatch(tmp_path):
         write_rowtext([("notint", "a", 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(TypeMismatch):
         write_rowtext([(1, 2, 0.5)], SCHEMA, tmp_path / "p.rtx")
+    with pytest.raises(TypeMismatch):
+        write_rowtext([(1, "short")], SCHEMA, tmp_path / "p.rtx")
 
 
 def test_predicate_filters_rows(tmp_path):
@@ -129,3 +138,30 @@ def test_scan_against_brute_force_oracle(tmp_path):
     expected = [r for r in rows if row_passes(pred, r)]
     assert got == expected
     assert scan.stats.rows_read == 100_000
+
+
+VALUES = {
+    ColumnType.INT64: st.integers(-(2**63), 2**63 - 1),
+    ColumnType.FLOAT64: st.floats() | st.sampled_from(
+        [math.nan, 0.0, -0.0, math.inf, -math.inf]),
+    ColumnType.DATE: st.integers(iso_to_days(date.min.isoformat()),
+                                 iso_to_days(date.max.isoformat())),
+    ColumnType.STRING: st.text(st.characters(blacklist_characters="|\n\r",
+                                             blacklist_categories=("Cs",))),
+}
+
+
+def _not_expected(j, message):
+    return AssertionError(f"field {j}: {message}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(ColumnType)).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.none() | VALUES[t], min_size=1, max_size=40))))
+def test_codec_round_trip(case):
+    # repr tells NaN, -0.0 and None apart; the empty string reads back as NULL
+    ctype, values = case
+    texts = encode_column(C.column_from_values(values, ctype), ctype)
+    back = C.column_to_values(decode_column(texts, ctype, _not_expected), ctype)
+    expected = [None if v == "" else v for v in values]
+    assert [repr(v) for v in back] == [repr(v) for v in expected]
