@@ -213,13 +213,13 @@ def cmd_serve(args) -> int:
 
     if args.config:
         config = ServiceConfig.from_file(args.config)
-        if args.port is not None:
-            config.port = args.port
     else:
-        config = ServiceConfig(data_root=_root(args), port=args.port or 7878)
+        config = ServiceConfig(data_root=_root(args))
+    if args.port is not None:  # --port 0 asks for any free port
+        config.port = args.port
     server = StripehouseServer(config)
     host, port = server.address
-    print(f"stripehouse serving on {host}:{port} (data root {config.data_root})")
+    print(f"stripehouse serving on {host}:{port} (data root {config.data_root})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,9 +1,17 @@
 """Plan execution on a pool of executors * cores worker slots.
 
 Stages run in plan order with a barrier between stages; tasks inside a
-stage are independent. The shuffle staging area is partitioned by
-(op, bucket, producer-task) so producers never contend; buckets past the
-per-executor row budget spill to ``<root>/shuffle/``.
+stage are independent. Each op's output goes to one map keyed by op and
+task (or bucket). Both shuffles, of join rows and of partial groups,
+stage into one map keyed by (op, bucket, producer-task), so producers
+never contend; join buckets past the per-executor row budget spill to
+``<root>/shuffle/``.
+
+One path per job: every join key type goes through one stable-argsort +
+searchsorted join; shuffle buckets and aggregation groups are split by
+one row splitter (``_group_indices``); every collecting aggregate keeps a
+list of arrays merged by ``+``, and distinct values come from one
+sort-based ``_sorted_unique``.
 
 Determinism: task sets depend only on the plan; every merge walks inputs
 in producer-task order; SUM/AVG accumulate with exact summation
@@ -15,6 +23,7 @@ Timing uses a monotonic clock.
 
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 import shutil
@@ -92,6 +101,7 @@ class QueryMetrics:
     stripes_pruned: int = 0
     shuffle_rows: int = 0
     peak_group_count: int = 0
+    spill_events: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +112,7 @@ class QueryMetrics:
             "stripes_pruned": self.stripes_pruned,
             "shuffle_rows": self.shuffle_rows,
             "peak_group_count": self.peak_group_count,
+            "spill_events": self.spill_events,
         }
 
 
@@ -133,20 +144,25 @@ def result_types(query: ResolvedQuery) -> tuple[ColumnType, ...]:
 
 
 # --- aggregation state ---
-# Partial state per group: one slot per AggSpec.
+# Partial state per group: one slot per AggSpec, None until a row lands.
 #   count_star      -> int
-#   count_distinct  -> np.ndarray of unique non-NULL values
-#   sum / avg       -> (list[np.ndarray] raw values, int non-null count)
-#   min / max       -> scalar or None
+#   count_distinct  -> list[np.ndarray], one sorted-unique array per batch
+#   sum / avg       -> list[np.ndarray] of non-NULL values
+#   min / max       -> scalar, None while every value seen is NULL or NaN
+# Every state but min / max merges by ``+``; finalize takes the distinct
+# count of the concatenation, or the exact (math.fsum) sum of the values.
 
 
-def _canonical_nan(arr: np.ndarray) -> np.ndarray:
-    if arr.dtype == np.float64:
-        nan = np.isnan(arr)
-        if nan.any():
-            arr = arr.copy()
-            arr[nan] = np.nan
-    return arr
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """Distinct values of ``arr``, sorted; all NaNs count as one value."""
+    s = np.sort(arr)
+    if len(s) < 2:
+        return s
+    new = s[1:] != s[:-1]
+    if s.dtype == np.float64:
+        nan = np.isnan(s)  # NaNs sort last, whatever their payload
+        new &= ~(nan[1:] & nan[:-1])
+    return s[np.concatenate(([True], new))]
 
 
 def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
@@ -167,12 +183,11 @@ def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
         if v is not None:
             d = d[v]
         if spec.kind == "count_distinct":
-            uniq = np.unique(_canonical_nan(d)) if len(d) else d[:0]
+            uniq = _sorted_unique(d)
             budget_tracker.add(len(uniq))
-            out[g] = uniq
+            out[g] = [uniq]
         elif spec.kind in ("sum", "avg"):
-            vals = d.astype(np.float64, copy=False)
-            out[g] = ([vals], len(vals))
+            out[g] = [d.astype(np.float64, copy=False)]
         else:  # min / max
             if d.dtype == np.float64:
                 d = d[~np.isnan(d)]
@@ -186,39 +201,41 @@ def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
 
 
 def _merge_spec(spec: AggSpec, a, b):
-    if spec.kind == "count_star":
-        return a + b
-    if spec.kind == "count_distinct":
-        return np.unique(np.concatenate([a, b]))
-    if spec.kind in ("sum", "avg"):
-        return (a[0] + b[0], a[1] + b[1])
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b) if spec.kind == "min" else max(a, b)
+    if spec.kind == "min":
+        return min(a, b)
+    if spec.kind == "max":
+        return max(a, b)
+    return a + b
+
+
+def _merge_slots(specs, merged: dict[int, list], groups: dict[int, list]) -> None:
+    """Fold ``{group: [state per spec]}`` into ``merged``, slot by slot."""
+    for g, states in groups.items():
+        slot = merged.setdefault(g, [None] * len(specs))
+        for si, st in enumerate(states):
+            if slot[si] is None:
+                slot[si] = st
+            elif st is not None:
+                slot[si] = _merge_spec(specs[si], slot[si], st)
 
 
 def _finalize_spec(spec: AggSpec, state):
+    if state is None:
+        return 0 if spec.kind in ("count_star", "count_distinct") else None
     if spec.kind == "count_star":
         return int(state)
     if spec.kind == "count_distinct":
-        return int(len(state))
+        return len(_sorted_unique(np.concatenate(state)))
     if spec.kind in ("sum", "avg"):
-        arrays, count = state
+        count = sum(len(a) for a in state)
         if count == 0:
             return None
-        total = math.fsum(x for arr in arrays for x in arr.tolist())
+        # per-array tolist keeps the transient list one batch long
+        total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in state))
         if spec.kind == "sum":
             return total
         return total / count
-    if state is None:
-        return None
-    if isinstance(state, (np.floating,)):
-        return float(state)
-    if isinstance(state, (np.integer,)):
-        return int(state)
-    return state
+    return state.item() if isinstance(state, np.generic) else state
 
 
 class _BudgetTracker:
@@ -237,7 +254,7 @@ class _BudgetTracker:
 
 
 def _group_indices(gid: np.ndarray, in_range: np.ndarray | None) -> dict[int, np.ndarray]:
-    """Map group id -> row indices, vectorized groupby."""
+    """Map group id -> ascending row indices, vectorized groupby."""
     if in_range is not None:
         base = np.flatnonzero(in_range)
         g = gid[base]
@@ -266,7 +283,6 @@ class Engine:
     def __init__(self, data_root=None):
         self.data_root = resolve_data_root(data_root)
         self._busy = threading.Lock()
-        self.last_spill_events = 0
 
     # --- public API ---
 
@@ -318,7 +334,6 @@ class Engine:
                 for _ in pool.map(lambda fn: fn(), tasks):
                     pass
             rows = state.collect_output()
-            self.last_spill_events = state.spill_events
         finally:
             pool.shutdown(wait=True)
             if spill_dir.exists():
@@ -337,30 +352,24 @@ class _QueryState:
     def __init__(self, plan: PhysicalPlan, config: ExecConfig, metrics: QueryMetrics,
                  spill_dir):
         self.plan = plan
-        self.config = config
         self.metrics = metrics
         self.spill_dir = spill_dir
         self.reducers = config.slots
         self.budget = config.executor_mem_rows
-        # op_id -> {task_id: [Batch]}
-        self.op_batches: dict[int, dict[int, list[Batch]]] = {}
-        # (op_id, bucket) -> {producer: [Batch] | ('spill', path)}
+        self.ops = {op.op_id: op for op in plan.ops()}
+        # op_id -> {task or bucket: [Batch] | {group: [spec states]} | [row tuple]}
+        self.outputs: dict[int, dict[int, object]] = {}
+        # (shuffle op_id, bucket) -> {producer: [Batch] | ('spill', path)
+        #                                      | {group: [spec states]}}
         self.staging: dict[tuple[int, int], dict[int, object]] = {}
         self.bucket_rows: dict[tuple[int, int], int] = {}
-        # op_id -> {task_id: {group: [spec states]}}
-        self.partials: dict[int, dict[int, dict]] = {}
-        # (op_id, bucket) -> {producer: {group: [spec states]}}
-        self.partial_staging: dict[tuple[int, int], dict[int, dict]] = {}
-        self.final_rows: dict[int, list] = {}
-        self.spill_events = 0
         self._lock = threading.Lock()
-        self._metrics_lock = threading.Lock()
 
     # --- task generation per op ---
 
     def tasks_for(self, op):
+        self.outputs[op.op_id] = {}
         if isinstance(op, ScanOp):
-            self.op_batches[op.op_id] = {}
             return [
                 (lambda o=op, t=i: self._scan_task(o, t))
                 for i in range(len(op.tasks))
@@ -368,45 +377,36 @@ class _QueryState:
         if isinstance(op, ShuffleOp):
             if op.key_pos is None:
                 return [lambda o=op: self._partial_shuffle_task(o)]
-            producers = sorted(self.op_batches[op.input_op])
+            producers = sorted(self.outputs[op.input_op])
             return [
                 (lambda o=op, p=pid: self._shuffle_task(o, p))
                 for pid in producers
             ]
         if isinstance(op, JoinOp):
-            self.op_batches[op.op_id] = {}
             return [
                 (lambda o=op, b=i: self._join_task(o, b))
                 for i in range(self.reducers)
             ]
         if isinstance(op, AggPartialOp):
-            self.partials[op.op_id] = {}
-            task_ids = sorted(self.op_batches[op.input_op])
+            task_ids = sorted(self.outputs[op.input_op])
             return [
                 (lambda o=op, t=tid: self._agg_partial_task(o, t))
                 for tid in task_ids
             ]
         if isinstance(op, AggFinalOp):
-            self.final_rows = {}
-            input_op = self._op_by_id(op.input_op)
-            if isinstance(input_op, ShuffleOp):
+            if isinstance(self.ops[op.input_op], ShuffleOp):
                 buckets = sorted(
-                    b for (oid, b) in self.partial_staging if oid == op.input_op
+                    b for (oid, b) in self.staging if oid == op.input_op
                 )
                 if not buckets and not self.plan.query.bucket:
                     buckets = [0]
                 return [
-                    (lambda o=op, b=bkt: self._agg_final_task(o, b))
+                    (lambda o=op, b=bkt: self._finalize(
+                        o, self.staging.get((o.input_op, b), {}), b))
                     for bkt in buckets
                 ]
-            return [lambda o=op: self._agg_final_merge_all(o)]
+            return [lambda o=op: self._finalize(o, self.outputs[o.input_op], 0)]
         raise AssertionError(f"unexpected op {op}")
-
-    def _op_by_id(self, op_id: int):
-        for op in self.plan.ops():
-            if getattr(op, "op_id", None) == op_id:
-                return op
-        raise AssertionError(f"no op {op_id}")
 
     # --- scan ---
 
@@ -430,10 +430,10 @@ class _QueryState:
             kept = C.filter_project(cols, op.conjuncts, op.projection, n_rows)
             if kept is not None:
                 batches.append(Batch(*kept))
-        with self._metrics_lock:
+        with self._lock:
             self.metrics.rows_read += stats.rows_read
             self.metrics.bytes_read += stats.bytes_read
-        self.op_batches[op.op_id][task_idx] = batches
+        self.outputs[op.op_id][task_idx] = batches
 
     def _schema_for(self, op: ScanOp):
         for entry in self.plan.query.entries:
@@ -444,7 +444,7 @@ class _QueryState:
     # --- shuffle ---
 
     def _shuffle_task(self, op: ShuffleOp, producer: int):
-        batches = self.op_batches[op.input_op][producer]
+        batches = self.outputs[op.input_op][producer]
         r = self.reducers
         parts: dict[int, list[Batch]] = {}
         rows_moved = 0
@@ -470,19 +470,14 @@ class _QueryState:
                 # NaN equals nothing, so NaN keys go with NULL keys
                 not_nan = ~np.isnan(key_col.data)
                 valid = not_nan if valid is None else valid & not_nan
-            for b in np.unique(buckets):
-                sel = buckets == b
-                if valid is not None:
-                    sel &= valid  # NULL keys dropped before shuffle
-                idx = np.flatnonzero(sel)
-                if len(idx) == 0:
-                    continue
+            # NULL keys are dropped before the shuffle
+            for b, idx in _group_indices(buckets, valid).items():
                 sub = Batch(len(idx), [C.take(c, idx) for c in batch.cols])
-                parts.setdefault(int(b), []).append(sub)
+                parts.setdefault(b, []).append(sub)
                 rows_moved += len(idx)
         for b, sub_batches in parts.items():
             self._stage_bucket(op.op_id, b, producer, sub_batches)
-        with self._metrics_lock:
+        with self._lock:
             self.metrics.shuffle_rows += rows_moved
 
     def _stage_bucket(self, op_id: int, bucket: int, producer: int,
@@ -502,7 +497,7 @@ class _QueryState:
             except OSError as e:
                 raise IoFailure(f"cannot spill shuffle bucket: {e}") from e
             with self._lock:
-                self.spill_events += 1
+                self.metrics.spill_events += 1
             slot[producer] = ("spill", str(path))
         else:
             slot[producer] = batches
@@ -537,48 +532,17 @@ class _QueryState:
             out_batch = self._hash_join(op, build, probe)
             if out_batch is not None:
                 out.append(out_batch)
-        self.op_batches[op.op_id][bucket] = out
+        self.outputs[op.op_id][bucket] = out
 
     def _hash_join(self, op: JoinOp, build: list[Batch], probe: list[Batch]) -> Batch | None:
+        """Equi-join of one bucket, for every key type (str keys compare as
+        Python objects): stable argsort of the build keys, then searchsorted
+        of the probe keys. Rows come out in probe order, then in build order
+        within equal keys."""
         bkey_col = C.concat([b.cols[op.build_key_pos] for b in build])
         build_cols = [
             C.concat([b.cols[p] for b in build]) for p in op.build_out
         ]
-        if isinstance(bkey_col, C.StrColumn):
-            table: dict[str, list[int]] = {}
-            for i, v in enumerate(bkey_col.data):
-                table.setdefault(v, []).append(i)
-            probe_idx_parts = []
-            build_idx_parts = []
-            probe_cols_parts = [[] for _ in op.probe_out]
-            offset = 0
-            for pb in probe:
-                pkey = pb.cols[op.probe_key_pos]
-                if isinstance(pkey, C.LazyStrColumn):
-                    pkey = pkey.decode()
-                pi, bi = [], []
-                for i, v in enumerate(pkey.data):
-                    hits = table.get(v)
-                    if hits:
-                        pi.extend([i] * len(hits))
-                        bi.extend(hits)
-                if pi:
-                    pidx = np.asarray(pi, dtype=np.int64)
-                    bidx = np.asarray(bi, dtype=np.int64)
-                    probe_idx_parts.append(pidx + offset)
-                    build_idx_parts.append(bidx)
-                    for k, p in enumerate(op.probe_out):
-                        probe_cols_parts[k].append(C.take(pb.cols[p], pidx))
-                offset += pb.n_rows
-            if not probe_idx_parts:
-                return None
-            build_idx = np.concatenate(build_idx_parts)
-            out_cols = [
-                C.concat(parts) for parts in probe_cols_parts
-            ] + [C.take(bc, build_idx) for bc in build_cols]
-            n = len(build_idx)
-            return Batch(n, out_cols)
-
         bkeys = bkey_col.data
         order = np.argsort(bkeys, kind="stable")
         skeys = bkeys[order]
@@ -605,29 +569,18 @@ class _QueryState:
     # --- aggregation ---
 
     def _agg_partial_task(self, op: AggPartialOp, task_id: int):
-        batches = self.op_batches[op.input_op][task_id]
+        batches = self.outputs[op.input_op][task_id]
         tracker = _BudgetTracker(self.budget)
         merged: dict[int, list] = {}
-        groups_seen = 0
         for batch in batches:
             idx_groups = self._bucketize(op, batch)
-            for si, spec in enumerate(op.specs):
-                part = _spec_partial(spec, batch.cols, idx_groups, tracker)
-                for g, st in part.items():
-                    slot = merged.get(g)
-                    if slot is None:
-                        slot = [None] * len(op.specs)
-                        merged[g] = slot
-                    if slot[si] is None:
-                        slot[si] = st
-                    else:
-                        slot[si] = _merge_spec(spec, slot[si], st)
-        groups_seen = len(merged)
-        with self._metrics_lock:
-            if groups_seen > self.metrics.peak_group_count:
-                self.metrics.peak_group_count = groups_seen
-        if merged:
-            self.partials[op.op_id][task_id] = merged
+            parts = [_spec_partial(spec, batch.cols, idx_groups, tracker)
+                     for spec in op.specs]
+            _merge_slots(op.specs, merged, {g: [p[g] for p in parts] for g in idx_groups})
+        with self._lock:
+            if len(merged) > self.metrics.peak_group_count:
+                self.metrics.peak_group_count = len(merged)
+        self.outputs[op.op_id][task_id] = merged
 
     def _bucketize(self, op: AggPartialOp, batch: Batch) -> dict[int, np.ndarray]:
         if op.bucket_pos is None:
@@ -646,55 +599,35 @@ class _QueryState:
         """Route partial groups to reducers by group-key hash."""
         r = self.reducers
         moved = 0
-        for task_id in sorted(self.partials.get(op.input_op, {})):
-            shard: dict[int, dict] = {}
-            for g, states in self.partials[op.input_op][task_id].items():
+        shards = self.outputs[op.input_op]
+        for task_id in sorted(shards):
+            routed: dict[int, dict] = {}
+            for g, states in shards[task_id].items():
                 b = fnv1a64_int(g) % r if self.plan.query.bucket else 0
-                shard.setdefault(b, {})[g] = states
+                routed.setdefault(b, {})[g] = states
                 moved += 1
-            for b, groups in shard.items():
+            for b, groups in routed.items():
                 with self._lock:
-                    slot = self.partial_staging.setdefault((op.op_id, b), {})
+                    slot = self.staging.setdefault((op.op_id, b), {})
                 slot[task_id] = groups
-        with self._metrics_lock:
+        with self._lock:
             self.metrics.shuffle_rows += moved
 
-    def _agg_final_task(self, op: AggFinalOp, bucket: int):
-        slot = self.partial_staging.get((op.input_op, bucket), {})
-        self._finalize(op, [slot[t] for t in sorted(slot)], bucket_key=bucket)
-
-    def _agg_final_merge_all(self, op: AggFinalOp):
-        shards = self.partials.get(op.input_op, {})
-        self._finalize(op, [shards[t] for t in sorted(shards)], bucket_key=0)
-
-    def _finalize(self, op: AggFinalOp, shards: list[dict], bucket_key: int):
+    def _finalize(self, op: AggFinalOp, shards: dict[int, dict], bucket_key: int):
+        """Merge ``{producer: {group: [spec states]}}`` in producer order and
+        emit this bucket's result rows."""
         merged: dict[int, list] = {}
-        for shard in shards:
-            for g, states in shard.items():
-                slot = merged.get(g)
-                if slot is None:
-                    merged[g] = list(states)
-                else:
-                    for si, spec in enumerate(op.specs):
-                        if states[si] is None:
-                            continue
-                        if slot[si] is None:
-                            slot[si] = states[si]
-                        else:
-                            slot[si] = _merge_spec(spec, slot[si], states[si])
-        with self._metrics_lock:
+        for t in sorted(shards):
+            _merge_slots(op.specs, merged, shards[t])
+        with self._lock:
             if len(merged) > self.metrics.peak_group_count:
                 self.metrics.peak_group_count = len(merged)
         if not op.grouped and not merged and bucket_key == 0:
-            merged[0] = [self._empty_state(spec) for spec in op.specs]
+            merged[0] = [None] * len(op.specs)
         rows = []
         query = self.plan.query
         for g in sorted(merged):
-            states = merged[g]
-            finals = [
-                _finalize_spec(spec, st) if st is not None else self._empty_value(spec)
-                for spec, st in zip(op.specs, states)
-            ]
+            finals = [_finalize_spec(spec, st) for spec, st in zip(op.specs, merged[g])]
             row = []
             agg_i = 0
             for is_bucket in query.select_is_bucket:
@@ -704,29 +637,13 @@ class _QueryState:
                     row.append(finals[agg_i])
                     agg_i += 1
             rows.append(tuple(row))
-        with self._lock:
-            self.final_rows[bucket_key] = rows
-
-    @staticmethod
-    def _empty_state(spec: AggSpec):
-        if spec.kind == "count_star":
-            return 0
-        if spec.kind == "count_distinct":
-            return np.empty(0, dtype=object)
-        if spec.kind in ("sum", "avg"):
-            return ([], 0)
-        return None
-
-    @staticmethod
-    def _empty_value(spec: AggSpec):
-        if spec.kind in ("count_star", "count_distinct"):
-            return 0
-        return None
+        self.outputs[op.op_id][bucket_key] = rows
 
     def collect_output(self) -> list[tuple]:
+        final = self.outputs[self.plan.stages[-1][0].op_id]
         rows: list[tuple] = []
-        for b in sorted(self.final_rows):
-            rows.extend(self.final_rows[b])
+        for b in sorted(final):
+            rows.extend(final[b])
         if self.plan.query.bucket:
             pos = list(self.plan.query.select_is_bucket).index(True)
             rows.sort(key=lambda r: r[pos])

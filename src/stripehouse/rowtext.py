@@ -22,6 +22,7 @@ import numpy as np
 from . import columns as C
 from .errors import IllegalCharacter, IoFailure, MalformedRecord
 from .schema import ColumnType, PartitionDescriptor, StorageFormat, TableSchema
+from .values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 
 DEFAULT_BATCH_ROWS = 4096
 EXTENSION = ".rtx"
@@ -59,7 +60,7 @@ def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
     """Typed column from field texts; the empty field decodes to NULL.
 
     Equal strings of one batch share one object. For the first unparsable
-    field, raises the exception ``bad_field(index_in_fields, message)``
+    field, or INT64 outside int64 or DATE outside years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
     returns, so each caller reports the position its own way.
     """
     if ctype is ColumnType.STRING:
@@ -82,20 +83,27 @@ def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
             data = u.astype(np.float64)
         else:
             data = u.astype("datetime64[D]").astype(np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         for j, text in enumerate(fields):
             if text == "":
                 continue
             try:
                 if ctype is ColumnType.INT64:
-                    int(text)
+                    value = int(text)
                 elif ctype is ColumnType.FLOAT64:
                     float(text)
                 else:
                     np.datetime64(text, "D")
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise bad_field(j, f"unparsable {ctype.value} value {text!r}") from None
+            if ctype is ColumnType.INT64 and not INT64_MIN <= value <= INT64_MAX:
+                raise bad_field(j, f"INT64 value {text!r} out of range")
         raise
+    if ctype is ColumnType.DATE:
+        outside = np.flatnonzero((data < DAYS_MIN) | (data > DAYS_MAX))
+        if len(outside):
+            j = int(outside[0])
+            raise bad_field(j, f"DATE value {fields[j]!r} outside years 1-9999")
     return C.NumColumn(data, None if all_valid else valid)
 
 

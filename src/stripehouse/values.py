@@ -20,6 +20,12 @@ def iso_to_days(text: str) -> int:
     return (date.fromisoformat(text) - _EPOCH).days
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# years 1-9999, the range days_to_iso can format
+DAYS_MIN, DAYS_MAX = iso_to_days(date.min.isoformat()), iso_to_days(date.max.isoformat())
+_RANGE = {ColumnType.INT64: (INT64_MIN, INT64_MAX), ColumnType.DATE: (DAYS_MIN, DAYS_MAX)}
+
+
 def check_value(value, ctype: ColumnType, nullable: bool, col_name: str) -> None:
     """Raise TypeMismatch unless value conforms to the column type."""
     if value is None:
@@ -29,6 +35,9 @@ def check_value(value, ctype: ColumnType, nullable: bool, col_name: str) -> None
     if ctype is ColumnType.INT64 or ctype is ColumnType.DATE:
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeMismatch(f"column {col_name}: expected int, got {type(value).__name__}")
+        lo, hi = _RANGE[ctype]
+        if not lo <= value <= hi:
+            raise TypeMismatch(f"column {col_name}: {ctype.value} value {value} out of range")
     elif ctype is ColumnType.FLOAT64:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise TypeMismatch(f"column {col_name}: expected float, got {type(value).__name__}")

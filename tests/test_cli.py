@@ -1,8 +1,16 @@
 import json
+import os
+import re
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripehouse
 from stripehouse.cli import main
+from stripehouse.service import Client
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -24,6 +32,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["rows"] == [[2000]]
     assert out["metrics"]["rows_read"] == 0
+    assert out["metrics"]["spill_events"] == 0
 
     assert main(["query", "-e",
                  "SELECT BUCKET(l.result_value,0,50,100,200) AS cat, "
@@ -86,3 +95,45 @@ def test_cli_format_selects_subroot(tmp_path, capsys):
                      "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rows"] == [[200]]
+
+
+@pytest.mark.parametrize("fmt", ["stripe", "rowtext"])
+def test_cli_formats_extreme_dates(tmp_path, capsys, fmt):
+    root = tmp_path / "root"
+    assert main(["create", "--table", "t", "--columns", "d:date:null",
+                 "--format", fmt, "--root", str(root)]) == 0
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text('d\n9999-12-31\n""\n0001-01-01\n2001-01-01\n')
+    assert main(["ingest", "--table", "t", "--format", fmt, "--csv", str(csv_file),
+                 "--root", str(root)]) == 0
+    capsys.readouterr()
+    assert main(["query", "-e", "SELECT MIN(d), MAX(d) FROM t",
+                 "--root", str(root), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [["0001-01-01", "9999-12-31"]]
+
+
+def test_cli_serve_port_zero(tmp_path):
+    # without --config, --port 0 binds a free port rather than 7878
+    (tmp_path / "users.json").write_text("[]")
+    env = dict(os.environ, PYTHONPATH=str(Path(stripehouse.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # the address line must be flushed by the program
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stripehouse.cli", "serve", "--port", "0",
+         "--root", str(tmp_path)],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no address line in 30 s"
+        line = proc.stdout.readline()
+        m = re.search(r"serving on ([\d.]+):(\d+) ", line)
+        assert m, line
+        port = int(m.group(2))
+        assert port not in (0, 7878)
+        client = Client(m.group(1), port)
+        try:
+            assert client.ping() == {"type": "ok"}
+        finally:
+            client.close()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripehouse.datagen import lab_schema
 from stripehouse.engine import (
@@ -13,6 +14,7 @@ from stripehouse.engine import (
     fnv1a64,
     fnv1a64_int,
     _fnv_int64_vector,
+    _sorted_unique,
 )
 from stripehouse.errors import MemoryBudgetExceeded
 from stripehouse.ingest import ingest_csv
@@ -69,6 +71,29 @@ def test_fnv_vector_matches_scalar():
     assert floats[0] == floats[1] != floats[2]
 
 
+# a quiet NaN with a payload other than math.nan's
+OTHER_NAN = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(
+    [math.nan, -math.nan, OTHER_NAN, 0.0, -0.0, math.inf, -math.inf]), max_size=60))
+def test_sorted_unique_floats_like_np_unique(values):
+    a = np.array(values, dtype=np.float64)
+    got = _sorted_unique(a)
+    assert len(got) == len(np.unique(a))
+    assert np.array_equal(got, np.unique(a), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=3), max_size=60))
+def test_sorted_unique_strings_like_np_unique(values):
+    a = np.array(values, dtype=object)
+    got = _sorted_unique(a)
+    assert len(got) == len(np.unique(a))
+    assert got.tolist() == np.unique(a).tolist()
+
+
 @pytest.mark.parametrize("fmt", list(StorageFormat))
 def test_float_join_keys_nan_and_signed_zero(tmp_path, fmt):
     # NaN matches no key, as NULL; -0.0 = 0.0
@@ -90,6 +115,92 @@ def test_float_join_keys_nan_and_signed_zero(tmp_path, fmt):
         warnings.simplefilter("error", RuntimeWarning)
         res, _ = run(cat, sql)
     assert res.rows == [(2, 50.0)]
+    # one NaN, and -0.0 = 0.0, in COUNT DISTINCT; NaN makes AVG NaN
+    for sql, expected in (("SELECT COUNT(DISTINCT k), AVG(v) FROM a", (3, 25.0)),
+                          ("SELECT COUNT(DISTINCT k), AVG(k) FROM b", (4, math.nan))):
+        q = compile_text(sql, cat)
+        res, _ = run(cat, sql)
+        assert repr(res.rows) == repr(brute_force(q, raw).rows) == repr([expected])
+
+
+def load_tables(root, fmt, tables, **ingest_opts):
+    """Catalog at ``root`` with {name: (columns, csv text)} created and ingested."""
+    cat = Catalog(root)
+    for name, (cols, text) in tables.items():
+        cat.create_table(TableSchema.create(name, cols), fmt)
+        path = root / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        ingest_csv(cat, name, path, **ingest_opts)
+    return cat
+
+
+def csv_text(header, rows):
+    return header + "\n" + "".join(
+        ",".join("" if v is None else str(v) for v in r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+def test_string_join_keys_match_oracle(tmp_path, fmt):
+    # duplicate keys on both sides, NULL keys, non-ASCII keys, unmatched keys
+    rng = random.Random(5)
+    a_keys = ["k1", "k2", "é", "日本", None, "only_a", "K1"]
+    b_keys = ["k1", "k2", "é", "日本", None, "only_b"]
+    raw = {
+        "a": [(rng.choice(a_keys), rng.randrange(100)) for _ in range(300)],
+        "b": [(rng.choice(b_keys), rng.choice([0.5, 1.5, 2.5, None])) for _ in range(40)],
+    }
+    cat = load_tables(tmp_path, fmt, {
+        "a": ([("k", ColumnType.STRING, True), ("v", ColumnType.INT64, True)],
+              csv_text("k,v", raw["a"])),
+        "b": ([("k", ColumnType.STRING, True), ("w", ColumnType.FLOAT64, True)],
+              csv_text("k,w", raw["b"])),
+    }, partitions=3, stripe_size=16)
+    queries = [
+        "SELECT COUNT(*), SUM(x.v), COUNT(DISTINCT y.w), COUNT(DISTINCT y.k) "
+        "FROM a x JOIN b y ON x.k = y.k",
+        "SELECT BUCKET(x.v, 0, 25, 50, 100) AS c, COUNT(DISTINCT x.k), COUNT(*), "
+        "AVG(y.w) FROM a x JOIN b y ON x.k = y.k GROUP BY c",
+        "SELECT COUNT(*) FROM a x JOIN b y ON x.k = y.k WHERE x.k = 'only_a'",
+    ]
+    for sql in queries:
+        oracle = brute_force(compile_text(sql, cat), raw)
+        assert oracle.rows and oracle.rows[0][0] is not None
+        for e, c in ((1, 1), (4, 3)):
+            res, _ = run(cat, sql, executors=e, cores=c)
+            assert res.rows == oracle.rows, (sql, e, c)
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+def test_float_distinct_and_avg_nan_signed_zero(tmp_path, fmt):
+    # NaN of both signs, ±0.0 and NULL spread over many stripes and partitions
+    rng = random.Random(9)
+    raw_rows, texts = [], []
+    for i in range(400):
+        g = i % 6
+        pool = ["nan", "-nan", "0.0", "-0.0", "", "1.5"] if g < 2 else \
+            ["0.0", "-0.0", "", "1.5", "2.25", repr(i / 8)]
+        text = rng.choice(pool)
+        raw_rows.append((g, None if text == "" else float(text)))
+        texts.append(f"{g},{text}\n")
+    cat = load_tables(tmp_path, fmt, {
+        "t": ([("g", ColumnType.INT64, False), ("x", ColumnType.FLOAT64, True)],
+              "g,x\n" + "".join(texts)),
+    }, partitions=4, stripe_size=8)
+    raw = {"t": raw_rows}
+    queries = [
+        "SELECT COUNT(DISTINCT x), AVG(x), SUM(x), COUNT(*) FROM t",
+        "SELECT BUCKET(g, 0, 2, 4, 6) AS c, COUNT(DISTINCT x), AVG(x), SUM(x), COUNT(*) "
+        "FROM t GROUP BY c",
+        "SELECT COUNT(DISTINCT x), AVG(x) FROM t WHERE g >= 2",
+    ]
+    for sql in queries:
+        oracle = brute_force(compile_text(sql, cat), raw)
+        outs = []
+        for e, c in ((1, 1), (4, 3)):
+            res, _ = run(cat, sql, executors=e, cores=c)
+            assert results_equal(res, oracle), sql
+            outs.append(repr(res.rows))
+        assert outs[0] == outs[1], sql
 
 
 def test_count_on_empty_table(tmp_path):
@@ -208,9 +319,8 @@ def test_shuffle_spill_path(both_catalogs):
     # small budget: probe-side buckets spill to disk; build side still fits
     small = ExecConfig(executors=2, cores_per_executor=2,
                        executor_mem_rows=4_000)
-    eng = Engine(cat.data_root)
-    res, _ = eng.execute(plan(q, cat, small), small)
-    assert eng.last_spill_events > 0
+    res, metrics = Engine(cat.data_root).execute(plan(q, cat, small), small)
+    assert metrics.spill_events > 0
     assert res.rows == ref.rows
     assert not (cat.data_root / "shuffle").exists() or \
         not any((cat.data_root / "shuffle").iterdir())

@@ -96,6 +96,24 @@ def test_parse_error_position(tmp_path):
     assert ei.value.column == 3
 
 
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+@pytest.mark.parametrize("text, column", [
+    ("9223372036854775808,a,1.0,2001-01-01", 1),
+    ("-9223372036854775809,a,1.0,2001-01-01", 1),
+    ("2,a,1.0,12345-01-01", 4),
+    ("2,a,1.0,-0001-01-01", 4),
+    ("2,a,1.0,0000-12-31", 4),
+])
+def test_ingest_rejects_out_of_range_values(tmp_path, fmt, text, column):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(f"id,name,score,day\n1,a,1.0,9999-12-31\n{text}\n", encoding="utf-8")
+    cat = make_catalog(tmp_path / "root", fmt)
+    with pytest.raises(ParseError) as ei:
+        ingest_csv(cat, "t", csv_path)
+    assert (ei.value.row, ei.value.column) == (3, column)
+    assert cat.get_table("t").row_count == 0
+
+
 def test_arity_error(tmp_path):
     csv_path = tmp_path / "in.csv"
     csv_path.write_text("id,name,score,day\n1,a,1.0\n", encoding="utf-8")

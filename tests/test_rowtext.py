@@ -10,6 +10,7 @@ from stripehouse.errors import IllegalCharacter, MalformedRecord, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
 from stripehouse.rowtext import decode_column, encode_column, scan_rowtext, write_rowtext
 from stripehouse.schema import ColumnType, TableSchema
+from stripehouse.stripefile import write_stripes
 from stripehouse.values import iso_to_days
 
 
@@ -56,6 +57,28 @@ def test_type_mismatch(tmp_path):
         write_rowtext([(1, 2, 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(TypeMismatch):
         write_rowtext([(1, "short")], SCHEMA, tmp_path / "p.rtx")
+
+
+DATED = TableSchema.create("d", [("a", ColumnType.INT64, True), ("d", ColumnType.DATE, True)])
+
+
+@pytest.mark.parametrize("writer, name", [(write_rowtext, "p.rtx"), (write_stripes, "p.stp")])
+@pytest.mark.parametrize("row", [(2**63, 0), (-(2**63) - 1, 0),
+                                 (0, iso_to_days("9999-12-31") + 1),
+                                 (0, iso_to_days("0001-01-01") - 1)])
+def test_writers_reject_out_of_range(tmp_path, writer, name, row):
+    with pytest.raises(TypeMismatch):
+        writer([(2**63 - 1, iso_to_days("0001-01-01")), row], DATED, tmp_path / name)
+
+
+@pytest.mark.parametrize("line", ["9223372036854775808|2001-01-01",
+                                  "-9223372036854775809|",
+                                  "1|12345-01-01", "1|-0001-01-01", "1|0000-12-31"])
+def test_malformed_record_out_of_range(tmp_path, line):
+    (tmp_path / "p.rtx").write_text(f"1|9999-12-31\n{line}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as ei:
+        collect(scan_rowtext(tmp_path / "p.rtx", DATED))
+    assert ei.value.line_no == 2
 
 
 def test_predicate_filters_rows(tmp_path):
