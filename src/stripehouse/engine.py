@@ -230,12 +230,33 @@ def _finalize_spec(spec: AggSpec, state):
         count = sum(len(a) for a in state)
         if count == 0:
             return None
-        # per-array tolist keeps the transient list one batch long
-        total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in state))
+        try:
+            # per-array tolist keeps the transient list one batch long
+            total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in state))
+        except (ValueError, OverflowError):  # inf with -inf, or a partial sum past the range
+            return _special_sum(np.concatenate(state), spec.kind == "avg")
         if spec.kind == "sum":
             return total
         return total / count
     return state.item() if isinstance(state, np.generic) else state
+
+
+_ULP_SCALE = 2**1074  # every finite float times this is an integer
+
+
+def _special_sum(values: np.ndarray, avg: bool) -> float:
+    """SUM / AVG where ``math.fsum`` raised. NaN, or both infinities, give
+    NaN and one infinity gives itself; otherwise the exact sum (over the
+    count, for AVG) is rounded once, and a SUM past the range is +-inf."""
+    special = values[~np.isfinite(values)]
+    if len(special):
+        # all equal only when every special value is the same infinity
+        return float(special[0]) if (special == special[0]).all() else math.nan
+    exact = sum(n * (_ULP_SCALE // d) for n, d in map(float.as_integer_ratio, values.tolist()))
+    try:
+        return exact / (_ULP_SCALE * (len(values) if avg else 1))
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 class _BudgetTracker:
@@ -751,8 +772,7 @@ def brute_force(query: ResolvedQuery, tables: dict[str, list[tuple]]) -> ResultT
                 if not vals:
                     finals.append(None)
                 else:
-                    total = math.fsum(float(v) for v in vals)
-                    finals.append(total if agg.kind == "sum" else total / len(vals))
+                    finals.append(_oracle_sum([float(v) for v in vals], agg.kind == "avg"))
             else:
                 nn = [v for v in vals if not (isinstance(v, float) and math.isnan(v))]
                 if not nn:
@@ -773,3 +793,25 @@ def brute_force(query: ResolvedQuery, tables: dict[str, list[tuple]]) -> ResultT
         types=result_types(query),
         rows=out_rows,
     )
+
+
+def _oracle_sum(vals: list[float], avg: bool) -> float:
+    """IEEE special values first, then the finite values summed exactly."""
+    if any(math.isnan(v) for v in vals) or (math.inf in vals and -math.inf in vals):
+        return math.nan
+    for inf in (math.inf, -math.inf):
+        if inf in vals:
+            return inf
+    try:
+        total = math.fsum(vals)
+        return total / len(vals) if avg else total
+    except OverflowError:
+        from fractions import Fraction
+
+        exact = sum(map(Fraction, vals), Fraction(0))
+    if avg:
+        return float(exact / len(vals))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf

@@ -111,3 +111,9 @@ class MemoryBudgetExceeded(StripehouseError):
 
 class EngineBusy(StripehouseError):
     pass
+
+
+# --- service ---
+
+class InvalidConfig(StripehouseError):
+    """A service file is missing, unreadable or malformed."""

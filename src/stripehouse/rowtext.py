@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import columns as C
 from .errors import IllegalCharacter, IoFailure, MalformedRecord
@@ -25,6 +25,7 @@ from .schema import ColumnType, PartitionDescriptor, StorageFormat, TableSchema
 from .values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 
 DEFAULT_BATCH_ROWS = 4096
+READ_BLOCK_BYTES = 1 << 20
 EXTENSION = ".rtx"
 
 
@@ -56,11 +57,15 @@ def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
     return out
 
 
-def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
+def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     """Typed column from field texts; the empty field decodes to NULL.
 
-    Equal strings of one batch share one object. For the first unparsable
-    field, or INT64 outside int64 or DATE outside years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
+    ``fields`` is a list of ``str`` or, for a number or DATE column, an
+    ``S`` array of ASCII fields holding no NUL byte (so each element is its
+    field's whole text, which numpy parses as it parses the ``str``). Equal
+    strings of one batch share one object.
+    For the first unparsable field, or INT64 outside int64 or DATE outside
+    years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
     returns, so each caller reports the position its own way.
     """
     if ctype is ColumnType.STRING:
@@ -72,10 +77,10 @@ def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
         data[~valid] = None
         return C.StrColumn(data, valid)
     u = np.asarray(fields)
-    valid = u != ""
+    valid = u != u.dtype.type()
     all_valid = bool(valid.all())
     if not all_valid:
-        u = np.where(valid, u, "1970-01-01" if ctype is ColumnType.DATE else "0")
+        u = np.where(valid, u, u.dtype.type("1970-01-01" if ctype is ColumnType.DATE else "0"))
     try:
         if ctype is ColumnType.INT64:
             data = u.astype(np.int64)
@@ -84,7 +89,7 @@ def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
         else:
             data = u.astype("datetime64[D]").astype(np.int64)
     except (ValueError, OverflowError):
-        for j, text in enumerate(fields):
+        for j, text in enumerate(map(_text, fields)):
             if text == "":
                 continue
             try:
@@ -103,8 +108,12 @@ def decode_column(fields: list[str], ctype: ColumnType, bad_field) -> C.Column:
         outside = np.flatnonzero((data < DAYS_MIN) | (data > DAYS_MAX))
         if len(outside):
             j = int(outside[0])
-            raise bad_field(j, f"DATE value {fields[j]!r} outside years 1-9999")
+            raise bad_field(j, f"DATE value {_text(fields[j])!r} outside years 1-9999")
     return C.NumColumn(data, None if all_valid else valid)
+
+
+def _text(field) -> str:
+    return field.decode() if isinstance(field, bytes) else field
 
 
 class RowtextWriter:
@@ -171,7 +180,8 @@ def scan_rowtext_columnar(path, schema: TableSchema, needed: list[int],
 
     Generator yields batches of at most ``batch_rows`` rows; the returned
     object's ``stats`` attribute is complete once iteration finishes. Only
-    ``needed`` columns are converted; arity is validated on every record.
+    ``needed`` columns are converted; the UTF-8 encoding and the arity of
+    every record are validated whatever ``needed`` holds.
     """
     return _RowtextScan(path, schema, needed, batch_rows)
 
@@ -185,55 +195,97 @@ class _RowtextScan:
         self.stats = ScanStats()
 
     def __iter__(self):
-        arity = self.schema.arity
-        seps = arity - 1
         try:
             size = os.path.getsize(self.path)
-            f = open(self.path, "r", encoding="utf-8", newline="\n")
+            f = open(self.path, "rb")
         except OSError as e:
             raise IoFailure(f"cannot read {self.path}: {e}") from e
         self.stats.bytes_read = size
-        line_no = 0
-
-        def bad(j, message):  # field j of the current batch
-            return MalformedRecord(message, base_line + j)
-
+        line_no = 1  # of the block's first record
         with f:
-            while True:
-                lines = list(islice(f, self.batch_rows))
-                if not lines:
-                    break
-                base_line = line_no + 1
-                if not self.needed:
-                    # arity check without materializing fields
-                    for line in lines:
-                        line_no += 1
-                        if line.count("|") != seps:
-                            raise MalformedRecord(
-                                f"expected {arity} fields, got {line.count('|') + 1}",
-                                line_no,
-                            )
-                    self.stats.rows_read += len(lines)
-                    yield len(lines), {}
-                    continue
-                per_col: list[list[str]] = [[] for _ in self.needed]
-                for line in lines:
-                    line_no += 1
-                    if line.endswith("\n"):
-                        line = line[:-1]
-                    parts = line.split("|")
-                    if len(parts) != arity:
-                        raise MalformedRecord(
-                            f"expected {arity} fields, got {len(parts)}", line_no
-                        )
-                    for k, i in enumerate(self.needed):
-                        per_col[k].append(parts[i])
-                self.stats.rows_read += len(lines)
-                cols = {
-                    i: decode_column(per_col[k], self.schema.columns[i].ctype, bad)
-                    for k, i in enumerate(self.needed)
-                }
-                yield len(lines), cols
+            for block in _record_blocks(f, self.batch_rows):
+                n_rows, cols = self._decode_block(block, line_no)
+                line_no += n_rows
+                self.stats.rows_read += n_rows
+                yield n_rows, cols
+
+    def _decode_block(self, block: bytes, line_no: int):
+        """``(n_rows, {col_index: Column})`` of whole records ending in ``\\n``.
+
+        Finds every ``|`` / ``\\n`` at once; record r's field i then lies
+        between delimiters ``r*arity + i - 1`` and ``r*arity + i``.
+        """
+        arity = self.schema.arity
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MalformedRecord(f"invalid UTF-8: {e.reason}",
+                                  line_no + block.count(b"\n", 0, e.start)) from None
+        a = np.frombuffer(block, np.uint8)
+        delims = np.flatnonzero((a == 0x7C) | (a == 0x0A))
+        record_ends = np.flatnonzero(a[delims] == 0x0A)
+        n_fields = np.diff(record_ends, prepend=-1)
+        bad = np.flatnonzero(n_fields != arity)
+        if len(bad):
+            r = int(bad[0])
+            raise MalformedRecord(f"expected {arity} fields, got {n_fields[r]}", line_no + r)
+        n = len(record_ends)
+        if not self.needed:
+            return n, {}
+        ends = delims.reshape(n, arity)
+        starts = np.concatenate(([0], delims[:-1] + 1)).reshape(n, arity)
+        # a str offset is the byte offset less the UTF-8 continuation bytes before it
+        cont = np.flatnonzero((a & 0xC0) == 0x80) if len(text) < len(block) else a[:0]
+        nul = b"\0" in block
+
+        def texts(i):
+            s, e = starts[:, i], ends[:, i]
+            s, e = s - np.searchsorted(cont, s), e - np.searchsorted(cont, e)
+            return [text[x:y] for x, y in zip(s.tolist(), e.tolist())]
+
+        def bad_field(j, message):
+            return MalformedRecord(message, line_no + j)
+
+        cols = {}
+        for i in self.needed:
+            ctype = self.schema.columns[i].ctype
+            fields = None
+            if ctype is not ColumnType.STRING and not nul:
+                fields = _gather(a, starts[:, i], ends[:, i])
+            cols[i] = decode_column(texts(i) if fields is None else fields, ctype, bad_field)
+        return n, cols
+
+
+def _gather(a: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The fields ``a[starts[r]:ends[r]]`` as one ``S<width>`` array, or
+    None when one holds a non-ASCII byte."""
+    lens = ends - starts
+    width = max(int(lens.max()), 1)
+    padded = np.concatenate((a, np.zeros(width, np.uint8)))
+    g = sliding_window_view(padded, width)[starts]
+    g[np.arange(width) >= lens[:, None]] = 0
+    if g.max() >= 0x80:
+        return None
+    return g.view(f"S{width}").ravel()
+
+
+def _record_blocks(f, batch_rows: int):
+    """Blocks of ``batch_rows`` whole records, the last one possibly fewer,
+    each ending in ``\\n``, read ``READ_BLOCK_BYTES`` at a time."""
+    parts, have = [], 0  # the pending block's pieces, and the records they end
+    while chunk := f.read(READ_BLOCK_BYTES):
+        newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 0x0A)
+        start = 0
+        for k in range(batch_rows - have - 1, len(newlines), batch_rows):
+            cut = int(newlines[k]) + 1
+            parts.append(chunk[start:cut])
+            yield b"".join(parts)
+            parts, start = [], cut
+        have = (have + len(newlines)) % batch_rows
+        parts.append(chunk[start:])
+    tail = b"".join(parts)
+    if tail:
+        yield tail if tail.endswith(b"\n") else tail + b"\n"
 
 
 def scan_rowtext(path, schema: TableSchema, projection=None, predicate=(),

@@ -24,12 +24,13 @@ import socketserver
 import struct
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .engine import Engine, ResultTable
-from .errors import IoFailure, StripehouseError
+from .errors import InvalidConfig, IoFailure, StripehouseError
 from .planner import ExecConfig, plan
 from .schema import Catalog, ColumnType, resolve_data_root
 from .sql import compile_text
@@ -149,11 +150,12 @@ class Credential:
 
 
 def load_users(path) -> dict[str, Credential]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    out = {}
-    for u in raw:
-        out[u["user"]] = Credential(u["user"], u["token"], u.get("role", "ANALYST"))
-    return out
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return {u["user"]: Credential(u["user"], u["token"], u.get("role", "ANALYST"))
+                for u in raw}
+    except (OSError, ValueError, TypeError, KeyError) as e:
+        raise InvalidConfig(f"cannot load users from {path}: {type(e).__name__}: {e}") from e
 
 
 # --- audit ---
@@ -344,7 +346,9 @@ class _Handler(socketserver.BaseRequestHandler):
         try:
             p = plan(query, server.catalog, cfg, prune=bool(req.get("prune", True)))
             result, metrics = engine.execute(p, cfg)
-        except StripehouseError as e:
+        except Exception as e:  # the session outlives any one query's failure
+            if not isinstance(e, StripehouseError):
+                traceback.print_exc()
             server.audit.append(user=user, action="QUERY", detail=sql,
                                 decision="ERROR", duration_s=time.perf_counter() - t0)
             send_frame(sock, {"type": "error", "code": "QUERY",

@@ -137,3 +137,31 @@ def test_cli_serve_port_zero(tmp_path):
         proc.terminate()
         proc.wait(timeout=30)
         proc.stdout.close()
+
+
+@pytest.mark.parametrize("users", [None, "{", '[{"user": "a"}]'])
+def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
+    # fails while loading users.json, before any socket or server thread exists
+    if users is not None:
+        (tmp_path / "users.json").write_text(users)
+    assert main(["serve", "--port", "0", "--root", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: cannot load users from ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sql", ["SELECT COUNT(*) FROM t", "SELECT SUM(a) FROM t",
+                                 "SELECT COUNT(*) FROM t WHERE b = 'c'"])
+def test_cli_invalid_utf8_is_malformed_record(tmp_path, capsys, sql):
+    root = tmp_path / "root"
+    assert main(["create", "--table", "t", "--columns", "a:int64,b:string",
+                 "--format", "rowtext", "--root", str(root)]) == 0
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("a,b\n1,ok\n")
+    assert main(["ingest", "--table", "t", "--format", "rowtext", "--csv", str(csv_file),
+                 "--root", str(root)]) == 0
+    part = next(root.rglob("*.rtx"))
+    part.write_bytes(part.read_bytes() + b"2|c\xff\n")
+    capsys.readouterr()
+    assert main(["query", "-e", sql, "--root", str(root)]) == 1
+    assert capsys.readouterr().err.startswith("error: MalformedRecord: invalid UTF-8")

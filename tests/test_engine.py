@@ -203,6 +203,29 @@ def test_float_distinct_and_avg_nan_signed_zero(tmp_path, fmt):
         assert outs[0] == outs[1], sql
 
 
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+@pytest.mark.parametrize("values, expected", [
+    (["inf", "-inf", "1.0"], (math.nan, math.nan)),
+    (["nan", "inf", "-inf"], (math.nan, math.nan)),
+    (["1e308", "1e308"], (math.inf, 1e308)),
+    (["-1e308", "", "-1e308"], (-math.inf, -1e308)),
+    (["1e308", "1e308", "-1e308"], (1e308, 1e308 / 3)),  # only a partial sum overflows
+    (["inf", "1e308", "1e308"], (math.inf, math.inf)),
+])
+def test_sum_avg_special_values(tmp_path, fmt, values, expected):
+    # IEEE results where math.fsum raises, spread over partitions and stripes
+    cat = load_tables(tmp_path, fmt, {
+        "t": ([("x", ColumnType.FLOAT64, True)],
+              "x\n" + "".join((v or '""') + "\n" for v in values)),
+    }, partitions=2, stripe_size=1)
+    raw = {"t": [(None if v == "" else float(v),) for v in values]}
+    sql = "SELECT SUM(x), AVG(x) FROM t"
+    assert repr(brute_force(compile_text(sql, cat), raw).rows) == repr([expected])
+    for e, c in ((1, 1), (4, 3)):
+        res, _ = run(cat, sql, executors=e, cores=c)
+        assert repr(res.rows) == repr([expected])
+
+
 def test_count_on_empty_table(tmp_path):
     cat = Catalog(tmp_path)
     cat.create_table(lab_schema(), StorageFormat.STRIPE)

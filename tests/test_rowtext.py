@@ -1,14 +1,21 @@
 import math
 import random
 from datetime import date
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stripehouse import columns as C
+from stripehouse import columns as C, rowtext
 from stripehouse.errors import IllegalCharacter, MalformedRecord, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
-from stripehouse.rowtext import decode_column, encode_column, scan_rowtext, write_rowtext
+from stripehouse.rowtext import (
+    decode_column,
+    encode_column,
+    scan_rowtext,
+    scan_rowtext_columnar,
+    write_rowtext,
+)
 from stripehouse.schema import ColumnType, TableSchema
 from stripehouse.stripefile import write_stripes
 from stripehouse.values import iso_to_days
@@ -188,3 +195,137 @@ def test_codec_round_trip(case):
     back = C.column_to_values(decode_column(texts, ctype, _not_expected), ctype)
     expected = [None if v == "" else v for v in values]
     assert [repr(v) for v in back] == [repr(v) for v in expected]
+
+
+@pytest.mark.parametrize("needed", [[], [0], [1], [0, 1, 2]])
+def test_malformed_record_invalid_utf8(tmp_path, needed):
+    (tmp_path / "p.rtx").write_bytes(b"1|a|2.0\n2|c\xff|1.0\n3|b|\n")
+    with pytest.raises(MalformedRecord, match="invalid UTF-8") as ei:
+        list(scan_rowtext_columnar(tmp_path / "p.rtx", SCHEMA, needed))
+    assert ei.value.line_no == 2
+
+
+# --- the block scanner against a per-line reference ---
+
+MIXED = TableSchema.create("m", [
+    ("i", ColumnType.INT64, True),
+    ("f", ColumnType.FLOAT64, True),
+    ("d", ColumnType.DATE, True),
+    ("s", ColumnType.STRING, True),
+])
+# other spellings numpy parses, some non-ASCII or NUL-bearing
+SPELLINGS = {
+    ColumnType.INT64: [" 2\r", "+2", "1_000", "\t-3 ", "007", "2\x00", "\xa02", "\uff11\uff12"],
+    ColumnType.FLOAT64: [" 2\r", "+.5", "1_0.5", "Infinity", "-nan", "1e500", "5.",
+                         "\u0661.\u0665"],
+    ColumnType.DATE: [" 2001-01-01", "2001-01", "2001"],
+}
+BAD_FIELDS = {
+    ColumnType.INT64: ["zap", "1.5", "9223372036854775808", "-9223372036854775809"],
+    ColumnType.FLOAT64: ["zap", "1..5", "0x10"],
+    ColumnType.DATE: ["12345-01-01", "0000-12-31", "2001-13-01", "x"],
+}
+EXTREMES = {
+    ColumnType.INT64: [-(2**63), 2**63 - 1, 0],
+    ColumnType.FLOAT64: [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.7976931348623157e308],
+    ColumnType.DATE: [iso_to_days("0001-01-01"), iso_to_days("9999-12-31")],
+}
+
+
+def _number_field(ctype):
+    values = st.none() | VALUES[ctype] | st.sampled_from(EXTREMES[ctype])
+    texts = values.map(lambda v: encode_column(C.column_from_values([v], ctype), ctype)[0])
+    return texts | st.sampled_from(SPELLINGS[ctype])
+
+
+MIXED_ROW = st.tuples(
+    _number_field(ColumnType.INT64),
+    _number_field(ColumnType.FLOAT64),
+    _number_field(ColumnType.DATE),
+    st.text(st.characters(blacklist_characters="|\n", blacklist_categories=("Cs",))),
+)
+DEFECT = st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(["short", "long", "utf8"])) \
+    | st.tuples(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 3))
+
+
+def _file_bytes(rows, defect, final_newline):
+    lines = [[t.encode() for t in row] for row in rows]
+    if defect is not None and lines:
+        line = lines[defect[0] % len(lines)]
+        if defect[1] == "short":
+            line.pop()
+        elif defect[1] == "long":
+            line.append(b"")
+        elif defect[1] == "utf8":
+            line[3] += b"\xc3"
+        else:
+            ctype = MIXED.columns[defect[1]].ctype
+            bad = BAD_FIELDS[ctype]
+            line[defect[1]] = bad[defect[2] % len(bad)].encode()
+    data = b"\n".join(b"|".join(line) for line in lines)
+    return data + b"\n" if lines and final_newline else data
+
+
+def _reference_scan(data, schema, needed, batch_rows):
+    """Per line: decode, ``split("|")``, check arity; per batch: arity
+    first, then each needed column through ``decode_column``."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    texts = []
+    for no, line in enumerate(lines, 1):
+        try:
+            texts.append((line + b"\n").decode("utf-8")[:-1])
+        except UnicodeDecodeError as e:
+            raise MalformedRecord(f"invalid UTF-8: {e.reason}", no) from None
+    out = []
+    for base in range(0, len(texts), batch_rows):
+        parts = [t.split("|") for t in texts[base:base + batch_rows]]
+        for j, fields in enumerate(parts):
+            if len(fields) != schema.arity:
+                raise MalformedRecord(f"expected {schema.arity} fields, got {len(fields)}",
+                                      base + j + 1)
+        cols = {}
+        for i in needed:
+            ctype = schema.columns[i].ctype
+            col = decode_column([p[i] for p in parts], ctype,
+                                lambda j, m: MalformedRecord(m, base + j + 1))
+            cols[i] = C.column_to_values(col, ctype)
+        out.append((len(parts), cols))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except MalformedRecord as e:
+        return ("MalformedRecord", e.line_no, str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(MIXED_ROW, max_size=25), defect=DEFECT, final_newline=st.booleans(),
+       needed=st.sets(st.integers(0, 3)), batch_rows=st.integers(1, 8) | st.just(4096),
+       block=st.integers(1, 64) | st.just(1 << 20))
+# numpy drops the trailing NUL, int() does not: the bad field is line 1
+@example(rows=[("2\x00", "", "", ""), ("1", "", "", "")], defect=(1, 0, 0),
+         final_newline=True, needed={0}, batch_rows=4096, block=1 << 20)
+def test_scan_matches_per_line_reference(tmp_path_factory, rows, defect, final_newline,
+                                         needed, batch_rows, block):
+    data = _file_bytes(rows, defect, final_newline)
+    path = tmp_path_factory.mktemp("scan") / "p.rtx"
+    path.write_bytes(data)
+    needed = sorted(needed)
+
+    def scan():
+        out = []
+        with mock.patch.object(rowtext, "READ_BLOCK_BYTES", block):
+            parts = scan_rowtext_columnar(path, MIXED, needed, batch_rows)
+            for n, cols in parts:
+                out.append((n, {i: C.column_to_values(c, MIXED.columns[i].ctype)
+                                for i, c in cols.items()}))
+        assert parts.stats.bytes_read == len(data)
+        assert parts.stats.rows_read == sum(n for n, _ in out)
+        return out
+
+    expected = _outcome(lambda: _reference_scan(data, MIXED, needed, batch_rows))
+    assert _outcome(scan) == expected

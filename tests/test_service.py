@@ -5,6 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripehouse.engine import Engine
 from stripehouse.service import (
     ALLOW,
     ALLOWED,
@@ -286,3 +287,19 @@ def test_bad_exec_options_rejected(server):
     # session still alive
     assert c.query("SELECT COUNT(*) FROM lab_procedure")["type"] == "result"
     c.close()
+
+
+def test_internal_error_audited_session_survives(server, monkeypatch):
+    def fail(self, plan, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "execute", fail)
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    resp = c.query("SELECT COUNT(*) FROM lab_procedure")
+    assert resp == {"type": "error", "code": "QUERY", "message": "RuntimeError: boom"}
+    assert c.ping() == {"type": "ok"}
+    c.close()
+    records = [json.loads(line) for line in server.config.audit_file.read_text().splitlines()]
+    assert [(r["action"], r["decision"]) for r in records[-2:]] == [
+        ("QUERY", "ERROR"), ("PING", ALLOWED)]
