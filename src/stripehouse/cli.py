@@ -143,15 +143,9 @@ def cmd_query(args) -> int:
     p = plan(query, cat, config, prune=not args.no_prune)
     result, metrics = Engine(root).execute(p, config)
     if args.json:
-        rows = []
-        for r in result.rows:
-            rows.append([
-                days_to_iso(v) if v is not None and t is ColumnType.DATE else v
-                for v, t in zip(r, result.types)
-            ])
         print(json.dumps({
             "columns": list(result.columns),
-            "rows": rows,
+            "rows": result.json_rows(),
             "metrics": metrics.to_dict(),
         }))
     else:

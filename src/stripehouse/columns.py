@@ -9,6 +9,9 @@ A scan produces one column object per projected schema column:
 
 NULL never satisfies a comparison; float comparisons are IEEE-754, so NaN
 satisfies only ``!=``.
+
+``RowScan`` turns either format's columnar scan into row-tuple batches, and
+``ScanStats`` counts what a scan read.
 """
 
 from __future__ import annotations
@@ -86,6 +89,14 @@ class LazyStrColumn:
 Column = NumColumn | StrColumn | LazyStrColumn
 
 
+@dataclass
+class ScanStats:
+    rows_read: int = 0
+    bytes_read: int = 0
+    stripes_total: int = 0
+    stripes_pruned: int = 0
+
+
 def conjunct_mask(col: Column, op: str, value) -> np.ndarray:
     """Boolean mask of rows whose (non-NULL) value satisfies ``op value``."""
     if isinstance(col, (StrColumn, LazyStrColumn)):
@@ -156,15 +167,31 @@ def filter_project(cols: dict[int, Column], conjuncts, projection,
     return len(idx), [take(cols[i], idx) for i in projection]
 
 
-def filter_rows(cols: dict[int, Column], conjuncts, projection, types,
-                n_rows: int) -> list[tuple]:
-    """Row tuples of the rows passing ``conjuncts``, in projection order."""
-    kept = filter_project(cols, conjuncts, projection, n_rows)
-    if kept is None:
-        return []
-    n, out = kept
-    values = [column_to_values(col, types[i]) for col, i in zip(out, projection)]
-    return list(zip(*values)) if values else [()] * n
+class RowScan:
+    """Row-tuple scan over a columnar scan: yields one list of tuples, in
+    ``projection`` order (None = all columns), per batch with a row passing
+    ``predicate``.
+
+    ``columnar(needed)`` makes the columnar scan of the ``needed`` column
+    indices: an iterable of ``(n_rows, {col_index: Column})`` with a
+    ``.stats`` that is complete after iteration, which this scan shares.
+    """
+
+    def __init__(self, columnar, schema, projection, predicate):
+        self._projection = list(range(schema.arity)) if projection is None else list(projection)
+        self._predicate = tuple(predicate)
+        self._types = [c.ctype for c in schema.columns]
+        self._inner = columnar(sorted(set(self._projection) | {c.col for c in self._predicate}))
+        self.stats = self._inner.stats
+
+    def __iter__(self):
+        for n_rows, cols in self._inner:
+            kept = filter_project(cols, self._predicate, self._projection, n_rows)
+            if kept and kept[0]:
+                n, out = kept
+                values = [column_to_values(c, self._types[i])
+                          for c, i in zip(out, self._projection)]
+                yield list(zip(*values)) if values else [()] * n
 
 
 def concat(cols: list[Column]) -> NumColumn | StrColumn:

@@ -49,9 +49,10 @@ from .planner import (
     ShuffleOp,
 )
 from .predicate import row_passes
-from .rowtext import ScanStats, scan_rowtext_columnar
+from .rowtext import scan_rowtext_columnar
 from .schema import ColumnType, StorageFormat, resolve_data_root
 from .sql import ResolvedQuery
+from .values import days_to_iso
 
 ENGINE_BATCH_ROWS = 65536
 
@@ -121,6 +122,11 @@ class ResultTable:
     columns: tuple[str, ...]
     types: tuple[ColumnType, ...]
     rows: list[tuple]
+
+    def json_rows(self) -> list[list]:
+        """Rows as JSON values: DATE as ISO ``YYYY-MM-DD``, NULL as None."""
+        return [[days_to_iso(v) if v is not None and t is ColumnType.DATE else v
+                 for v, t in zip(r, self.types)] for r in self.rows]
 
 
 _OUT_TYPE = {
@@ -441,11 +447,10 @@ class _QueryState:
             cols, nbytes = stripefile.read_stripe_columns(
                 task.path, footer, task.stripe_index, needed
             )
-            stats = ScanStats(rows_read=task.rows, bytes_read=nbytes)
+            stats = C.ScanStats(rows_read=task.rows, bytes_read=nbytes)
             parts = [(task.rows, cols)]
         else:
-            parts = scan_rowtext_columnar(task.path, self._schema_for(op), needed,
-                                          ENGINE_BATCH_ROWS)
+            parts = scan_rowtext_columnar(task.path, op.schema, needed, ENGINE_BATCH_ROWS)
             stats = parts.stats
         for n_rows, cols in parts:
             kept = C.filter_project(cols, op.conjuncts, op.projection, n_rows)
@@ -455,12 +460,6 @@ class _QueryState:
             self.metrics.rows_read += stats.rows_read
             self.metrics.bytes_read += stats.bytes_read
         self.outputs[op.op_id][task_idx] = batches
-
-    def _schema_for(self, op: ScanOp):
-        for entry in self.plan.query.entries:
-            if entry.schema.table_name == op.table:
-                return entry.schema
-        raise AssertionError(op.table)
 
     # --- shuffle ---
 

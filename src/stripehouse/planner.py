@@ -8,9 +8,10 @@ Stage shapes (a stage is one barrier group; ops inside it run together):
 * COUNT(*) with no predicate on a STRIPE table touches only footers
   (MetadataCount, 1 stage).
 
-Stripe pruning happens at plan time from footer statistics; one scan task
-per retained stripe (STRIPE) or per partition file (ROWTEXT). Reducer
-count R = executors * cores.
+Stripe pruning is decided here, once: ``_scan_op`` reads each partition's
+footer once and keeps the stripes ``stripefile.prune_stripes`` keeps. A
+scan has one task per kept stripe (STRIPE) or per partition file
+(ROWTEXT). Reducer count R = executors * cores.
 
 The cost model is advisory and never gates execution::
 
@@ -23,10 +24,10 @@ The cost model is advisory and never gates execution::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .predicate import Conjunct
-from .schema import Catalog, ColumnType, StorageFormat, TableEntry
+from .schema import Catalog, StorageFormat, TableEntry, TableSchema
 from .sql import ResolvedQuery
 from . import stripefile
 
@@ -67,15 +68,17 @@ class ScanTask:
 @dataclass(frozen=True)
 class ScanOp:
     op_id: int
-    side: int  # 0 = FROM table, 1 = JOIN table
     fmt: StorageFormat
-    table: str
+    schema: TableSchema
     tasks: tuple[ScanTask, ...]
     conjuncts: tuple[Conjunct, ...]
     projection: tuple[int, ...]  # schema column indices, output order
-    out_types: tuple[ColumnType, ...]
     stripes_total: int
     stripes_pruned: int
+
+    @property
+    def table(self) -> str:
+        return self.schema.table_name
 
     @property
     def rows_total(self) -> int:
@@ -91,7 +94,6 @@ class ShuffleOp:
     op_id: int
     input_op: int
     key_pos: int | None  # None: route everything to bucket 0 (agg merge)
-    key_type: ColumnType | None
     rows_estimate: int
     tasks_estimate: int
 
@@ -105,7 +107,6 @@ class JoinOp:
     probe_key_pos: int
     build_out: tuple[int, ...]  # positions in build batches copied to output
     probe_out: tuple[int, ...]
-    out_types: tuple[ColumnType, ...]  # probe_out types ++ build_out types
     build_rows: int
     probe_rows: int
 
@@ -114,7 +115,6 @@ class JoinOp:
 class AggSpec:
     kind: str  # count_star | count_distinct | sum | avg | min | max
     input_pos: int | None
-    input_type: ColumnType | None
 
 
 @dataclass(frozen=True)
@@ -188,63 +188,32 @@ def _needed_columns(query: ResolvedQuery, side: int) -> list[int]:
     return sorted(need)
 
 
-def _scan_op(op_id: int, side: int, entry: TableEntry, conjuncts, projection,
+def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
              prune: bool, footers: dict) -> ScanOp:
-    schema = entry.schema
-    out_types = tuple(schema.columns[i].ctype for i in projection)
     tasks: list[ScanTask] = []
-    stripes_total = 0
-    stripes_pruned = 0
+    stripes_total = stripes_pruned = 0
     if entry.format is StorageFormat.ROWTEXT:
-        for part in entry.partitions:
-            tasks.append(ScanTask(part.path, None, part.row_count))
+        tasks = [ScanTask(part.path, None, part.row_count) for part in entry.partitions]
     else:
         for part in entry.partitions:
             footer = footers.get(part.path)
             if footer is None:
-                footer = stripefile.read_footer(part.path)
-                footers[part.path] = footer
-            stripes_total += len(footer.stripes)
-            for si, stripe in enumerate(footer.stripes):
-                tasks.append(ScanTask(part.path, si, stripe.row_count))
-    op = ScanOp(
+                footer = footers[part.path] = stripefile.read_footer(part.path)
+            kept = stripefile.prune_stripes(footer, conjuncts if prune else ())
+            stripes_total += len(kept)
+            stripes_pruned += kept.count(False)
+            tasks.extend(ScanTask(part.path, si, stripe.row_count)
+                         for si, (stripe, keep) in enumerate(zip(footer.stripes, kept)) if keep)
+    return ScanOp(
         op_id=op_id,
-        side=side,
         fmt=entry.format,
-        table=schema.table_name,
+        schema=entry.schema,
         tasks=tuple(tasks),
         conjuncts=tuple(conjuncts),
         projection=tuple(projection),
-        out_types=out_types,
         stripes_total=stripes_total,
-        stripes_pruned=0,
+        stripes_pruned=stripes_pruned,
     )
-    if prune and entry.format is StorageFormat.STRIPE and conjuncts:
-        op = prune_tasks(op, footers)
-    return op
-
-
-def prune_tasks(scan: ScanOp, footers: dict) -> ScanOp:
-    """Drop stripe tasks the storage pruning rule proves empty."""
-    if scan.fmt is not StorageFormat.STRIPE or not scan.conjuncts:
-        return scan
-    retained_by_path: dict[str, list[bool]] = {}
-    kept: list[ScanTask] = []
-    pruned = 0
-    for task in scan.tasks:
-        mask = retained_by_path.get(task.path)
-        if mask is None:
-            footer = footers.get(task.path)
-            if footer is None:
-                footer = stripefile.read_footer(task.path)
-                footers[task.path] = footer
-            mask = stripefile.prune_stripes(footer, scan.conjuncts)
-            retained_by_path[task.path] = mask
-        if mask[task.stripe_index]:
-            kept.append(task)
-        else:
-            pruned += 1
-    return replace(scan, tasks=tuple(kept), stripes_pruned=pruned)
 
 
 def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
@@ -278,15 +247,11 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
 
     if query.join_cols is None:
         projection = _needed_columns(query, 0)
-        scan = _scan_op(0, 0, entry0, query.conjuncts[0], projection, prune, footers)
+        scan = _scan_op(0, entry0, query.conjuncts[0], projection, prune, footers)
         pos_of = {col: i for i, col in enumerate(projection)}
         bucket_pos = pos_of[query.bucket.column.index] if query.bucket else None
         specs = tuple(
-            AggSpec(
-                a.kind,
-                None if a.column is None else pos_of[a.column.index],
-                None if a.column is None else a.column.ctype,
-            )
+            AggSpec(a.kind, None if a.column is None else pos_of[a.column.index])
             for a in query.aggregates
         )
         agg_p = AggPartialOp(
@@ -317,15 +282,13 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         sorted(set(needed[1]) | {right_key.index}),
     ]
     scans = [
-        _scan_op(0, 0, query.entries[0], query.conjuncts[0], proj[0], prune, footers),
-        _scan_op(1, 1, query.entries[1], query.conjuncts[1], proj[1], prune, footers),
+        _scan_op(0, query.entries[0], query.conjuncts[0], proj[0], prune, footers),
+        _scan_op(1, query.entries[1], query.conjuncts[1], proj[1], prune, footers),
     ]
     key_pos = [proj[0].index(left_key.index), proj[1].index(right_key.index)]
     shuffles = [
-        ShuffleOp(2, 0, key_pos[0], left_key.ctype, scans[0].rows_total,
-                  max(len(scans[0].tasks), 1)),
-        ShuffleOp(3, 1, key_pos[1], right_key.ctype, scans[1].rows_total,
-                  max(len(scans[1].tasks), 1)),
+        ShuffleOp(2, 0, key_pos[0], scans[0].rows_total, max(len(scans[0].tasks), 1)),
+        ShuffleOp(3, 1, key_pos[1], scans[1].rows_total, max(len(scans[1].tasks), 1)),
     ]
 
     # hash join builds on the smaller side by catalog row counts
@@ -339,11 +302,6 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         out_positions[(probe_side, i)] = k
     for k, i in enumerate(needed[build_side]):
         out_positions[(build_side, i)] = len(probe_out) + k
-    out_types = tuple(
-        query.entries[probe_side].schema.columns[i].ctype for i in needed[probe_side]
-    ) + tuple(
-        query.entries[build_side].schema.columns[i].ctype for i in needed[build_side]
-    )
     join_op = JoinOp(
         op_id=4,
         build_input=shuffles[build_side].op_id,
@@ -352,7 +310,6 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         probe_key_pos=key_pos[probe_side],
         build_out=tuple(build_out),
         probe_out=tuple(probe_out),
-        out_types=out_types,
         build_rows=scans[build_side].rows_total,
         probe_rows=scans[probe_side].rows_total,
     )
@@ -362,11 +319,8 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         bc = query.bucket.column
         bucket_pos = out_positions[(bc.table_pos, bc.index)]
     specs = tuple(
-        AggSpec(
-            a.kind,
-            None if a.column is None else out_positions[(a.column.table_pos, a.column.index)],
-            None if a.column is None else a.column.ctype,
-        )
+        AggSpec(a.kind,
+                None if a.column is None else out_positions[(a.column.table_pos, a.column.index)])
         for a in query.aggregates
     )
     agg_p = AggPartialOp(
@@ -378,7 +332,7 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         rows_estimate=_ceil_div(join_op.probe_rows, reducers),
         tasks_estimate=reducers,
     )
-    group_shuffle = ShuffleOp(6, 5, None, None, groups * reducers, reducers)
+    group_shuffle = ShuffleOp(6, 5, None, groups * reducers, reducers)
     agg_f = AggFinalOp(op_id=7, input_op=6, specs=specs, grouped=query.bucket is not None)
 
     return PhysicalPlan(

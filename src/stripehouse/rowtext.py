@@ -13,7 +13,6 @@ only code that knows this encoding.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +26,6 @@ from .values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 DEFAULT_BATCH_ROWS = 4096
 READ_BLOCK_BYTES = 1 << 20
 EXTENSION = ".rtx"
-
-
-@dataclass
-class ScanStats:
-    rows_read: int = 0
-    bytes_read: int = 0
-    stripes_total: int = 0
-    stripes_pruned: int = 0
 
 
 def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
@@ -82,6 +73,8 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     if not all_valid:
         u = np.where(valid, u, u.dtype.type("1970-01-01" if ctype is ColumnType.DATE else "0"))
     try:
+        if isinstance(fields, list) and "\x00" in "".join(fields):
+            raise ValueError  # astype would drop a trailing NUL: parse field by field
         if ctype is ColumnType.INT64:
             data = u.astype(np.int64)
         elif ctype is ColumnType.FLOAT64:
@@ -192,7 +185,7 @@ class _RowtextScan:
         self.schema = schema
         self.needed = sorted(set(needed))
         self.batch_rows = batch_rows
-        self.stats = ScanStats()
+        self.stats = C.ScanStats()
 
     def __iter__(self):
         try:
@@ -289,31 +282,7 @@ def _record_blocks(f, batch_rows: int):
 
 
 def scan_rowtext(path, schema: TableSchema, projection=None, predicate=(),
-                 batch_rows: int = DEFAULT_BATCH_ROWS):
-    """Row-tuple scan: yields batches (lists of tuples) of matching rows.
-
-    ``projection`` is a list of column indices (None = all); ``predicate``
-    a sequence of resolved conjuncts. Returns the scan object; iterate it
-    for batches and read ``.stats`` afterwards.
-    """
-    return _RowScan(path, schema, projection, predicate, batch_rows)
-
-
-class _RowScan:
-    def __init__(self, path, schema, projection, predicate, batch_rows):
-        self.stats = ScanStats()
-        self._path = path
-        self._schema = schema
-        self._projection = list(range(schema.arity)) if projection is None else list(projection)
-        self._predicate = tuple(predicate)
-        self._batch_rows = batch_rows
-
-    def __iter__(self):
-        needed = sorted(set(self._projection) | {c.col for c in self._predicate})
-        inner = scan_rowtext_columnar(self._path, self._schema, needed, self._batch_rows)
-        self.stats = inner.stats
-        types = [c.ctype for c in self._schema.columns]
-        for n_rows, cols in inner:
-            rows = C.filter_rows(cols, self._predicate, self._projection, types, n_rows)
-            if rows:
-                yield rows
+                 batch_rows: int = DEFAULT_BATCH_ROWS) -> C.RowScan:
+    """Row-tuple scan of one block file (see ``columns.RowScan``)."""
+    return C.RowScan(lambda needed: scan_rowtext_columnar(path, schema, needed, batch_rows),
+                     schema, projection, predicate)

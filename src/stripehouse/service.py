@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .engine import Engine, ResultTable
+from .engine import Engine
 from .errors import InvalidConfig, IoFailure, StripehouseError
 from .planner import ExecConfig, plan
-from .schema import Catalog, ColumnType, resolve_data_root
+from .schema import Catalog, resolve_data_root
 from .sql import compile_text
-from .values import days_to_iso
 
 FRAME_MAX = 16 * 1024 * 1024
 ALLOW, DENY = "ALLOW", "DENY"
@@ -120,16 +119,19 @@ def load_rules(path) -> list[AccessRule]:
     path = Path(path)
     if not path.exists():
         return []
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    return [
-        AccessRule(
-            user=r["user"],
-            table=r["table"],
-            action=r.get("action", "SELECT"),
-            effect=r["effect"],
-        )
-        for r in raw
-    ]
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return [
+            AccessRule(
+                user=r["user"],
+                table=r["table"],
+                action=r.get("action", "SELECT"),
+                effect=r["effect"],
+            )
+            for r in raw
+        ]
+    except (OSError, ValueError, TypeError, KeyError) as e:
+        raise InvalidConfig(f"cannot load rules from {path}: {type(e).__name__}: {e}") from e
 
 
 def save_rules(path, rules: list[AccessRule]) -> None:
@@ -206,38 +208,31 @@ class ServiceConfig:
 
     @staticmethod
     def from_file(path) -> "ServiceConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        root = resolve_data_root(doc.get("data_root"))
+        """Config from a JSON object; an absent key takes the field's default."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as e:
+            raise InvalidConfig(f"cannot load service config from {path}: "
+                                f"{type(e).__name__}: {e}") from e
         return ServiceConfig(
-            data_root=root,
+            data_root=resolve_data_root(doc.get("data_root")),
             port=doc.get("port", 7878),
             host=doc.get("host", "127.0.0.1"),
-            users_file=Path(doc.get("users_file", root / "users.json")),
-            rules_file=Path(doc.get("rules_file", root / "rules.json")),
-            audit_file=Path(doc.get("audit_file", root / "audit.log")),
+            users_file=doc.get("users_file"),
+            rules_file=doc.get("rules_file"),
+            audit_file=doc.get("audit_file"),
         )
 
     def __post_init__(self):
         self.data_root = Path(self.data_root)
-        if self.users_file is None:
-            self.users_file = self.data_root / "users.json"
-        if self.rules_file is None:
-            self.rules_file = self.data_root / "rules.json"
-        if self.audit_file is None:
-            self.audit_file = self.data_root / "audit.log"
-
-
-def _jsonable_rows(result: ResultTable) -> list[list]:
-    rows = []
-    for r in result.rows:
-        row = []
-        for v, t in zip(r, result.types):
-            if v is not None and t is ColumnType.DATE:
-                row.append(days_to_iso(v))
-            else:
-                row.append(v)
-        rows.append(row)
-    return rows
+        self.users_file = Path(self.users_file if self.users_file is not None
+                               else self.data_root / "users.json")
+        self.rules_file = Path(self.rules_file if self.rules_file is not None
+                               else self.data_root / "rules.json")
+        self.audit_file = Path(self.audit_file if self.audit_file is not None
+                               else self.data_root / "audit.log")
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -359,7 +354,7 @@ class _Handler(socketserver.BaseRequestHandler):
         send_frame(sock, {
             "type": "result",
             "columns": list(result.columns),
-            "rows": _jsonable_rows(result),
+            "rows": result.json_rows(),
             "metrics": metrics.to_dict(),
         })
 

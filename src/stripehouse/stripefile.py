@@ -21,6 +21,11 @@ offset/length of every column chunk plus null counts and min/max values.
 String bounds keep at most the first 32 UTF-8 bytes; a truncated upper
 bound never prunes. NaN is excluded from float bounds and flagged so the
 pruning rule leaves such columns alone.
+
+``prune_stripes`` is the one pruning rule. The planner calls it once per
+partition to choose the stripes the engine reads (with
+``read_stripe_columns``); ``scan_stripes``, a ``columns.RowScan`` over
+``_StripeScan``, calls it for a standalone row-tuple scan.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import numpy as np
 
 from . import columns as C
 from .errors import BadMagic, CorruptFooter, IoFailure, TypeMismatch
-from .rowtext import ScanStats
 from .schema import (
     Column as SchemaColumn,
     ColumnType,
@@ -384,7 +388,7 @@ def _parse_chunk(raw: bytes, ctype: ColumnType, rows: int, path) -> C.Column:
     return C.NumColumn(np.frombuffer(body, dtype="<i8", count=rc), valid)
 
 
-# --- pruning rule (the single authority; the planner calls this too) ---
+# --- pruning rule (the single authority; the planner and _StripeScan call it) ---
 
 _NEG_INF = object()
 _POS_INF = object()
@@ -512,23 +516,24 @@ def prune_stripes(footer: StripeFooter, conjuncts) -> list[bool]:
 
 
 def scan_stripes(path, schema: TableSchema, projection=None, predicate=(),
-                 prune: bool = True):
-    """Row-tuple scan over a stripe file with optional stripe pruning.
-
-    Yields one batch (list of tuples) per retained stripe; ``.stats`` is
-    complete after iteration. Result sets are identical with prune on/off.
-    """
-    return _StripeScan(path, schema, projection, predicate, prune)
+                 prune: bool = True) -> C.RowScan:
+    """Row-tuple scan of one stripe file (see ``columns.RowScan``); result
+    sets are identical with prune on/off."""
+    return C.RowScan(lambda needed: _StripeScan(path, schema, needed, predicate if prune else ()),
+                     schema, projection, predicate)
 
 
 class _StripeScan:
-    def __init__(self, path, schema, projection, predicate, prune):
+    """``(n_rows, {col_index: Column})`` of the ``needed`` columns of each
+    stripe that ``prune_stripes`` keeps for ``conjuncts``; ``.stats`` is
+    complete after iteration."""
+
+    def __init__(self, path, schema, needed, conjuncts):
         self._path = Path(path)
         self._schema = schema
-        self._projection = list(range(schema.arity)) if projection is None else list(projection)
-        self._predicate = tuple(predicate)
-        self._prune = prune
-        self.stats = ScanStats()
+        self._needed = needed
+        self._conjuncts = tuple(conjuncts)
+        self.stats = C.ScanStats()
 
     def __iter__(self):
         footer = read_footer(self._path)
@@ -540,25 +545,15 @@ class _StripeScan:
             )
         stats = self.stats
         stats.bytes_read += footer.bytes_read
-        stats.stripes_total += len(footer.stripes)
-        retained = (
-            prune_stripes(footer, self._predicate)
-            if self._prune
-            else [True] * len(footer.stripes)
-        )
+        retained = prune_stripes(footer, self._conjuncts)
+        stats.stripes_total += len(retained)
         stats.stripes_pruned += retained.count(False)
-        needed = sorted(set(self._projection) | {c.col for c in self._predicate})
-        types = [c.ctype for c in self._schema.columns]
         for si, keep in enumerate(retained):
-            if not keep:
-                continue
-            cols, nbytes = read_stripe_columns(self._path, footer, si, needed)
-            n_rows = footer.stripes[si].row_count
-            stats.bytes_read += nbytes
-            stats.rows_read += n_rows
-            rows = C.filter_rows(cols, self._predicate, self._projection, types, n_rows)
-            if rows:
-                yield rows
+            if keep:
+                cols, nbytes = read_stripe_columns(self._path, footer, si, self._needed)
+                stats.bytes_read += nbytes
+                stats.rows_read += footer.stripes[si].row_count
+                yield footer.stripes[si].row_count, cols
 
 
 def dump_footer(path) -> str:

@@ -14,6 +14,7 @@ from stripehouse.bench import (
     line_chart_svg,
     run_bench,
 )
+from stripehouse.cli import main as cli_main
 from stripehouse.schema import StorageFormat
 
 SMALL = BenchPlan(
@@ -119,13 +120,33 @@ def test_complex_cells_prune_on_stripe(bench_out):
             assert r.stripes_pruned > 0
 
 
-def test_perfbench_tracer_finds_every_wrapped_name():
-    # a renamed storage or engine name must fail here, not only in traced runs
+def test_perfbench_tracer_finds_every_wrapped_name(tmp_path):
+    # a renamed storage or engine name, or one the engine imports by name so that
+    # the wrapper is bypassed, must fail here, not only show as a zero in traced runs
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("a,b\n" + "".join(f"{i},s{i % 3}\n" for i in range(50)))
+    roots = [str(tmp_path / fmt) for fmt in ("stripe", "rowtext")]
+    for fmt, root in zip(("stripe", "rowtext"), roots):
+        assert cli_main(["create", "--table", "t", "--columns", "a:int64,b:string",
+                         "--format", fmt, "--root", root]) == 0
+        assert cli_main(["ingest", "--table", "t", "--format", fmt, "--csv", str(csv_file),
+                         "--root", root]) == 0
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(repo / "perfbench"), str(repo / "src")]))
-    code = ("import spans, workload\n"
-            "spans.install(spans.Tracer(), classify=workload.classify)\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=repo,
+    code = ("import sys, spans, workload\n"
+            "from stripehouse import engine, planner, schema, sql\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer, classify=workload.classify)\n"
+            "config = planner.ExecConfig(executors=1, cores_per_executor=1)\n"
+            "for root in sys.argv[1:]:\n"
+            "    cat = schema.Catalog(root)\n"
+            "    query = sql.compile_text(\"SELECT SUM(a) FROM t WHERE b = 's1'\", cat)\n"
+            "    engine.Engine(root).execute(planner.plan(query, cat, config), config)\n"
+            "print(' '.join(sorted({s.name for s in tracer.spans})))\n")
+    done = subprocess.run([sys.executable, "-c", code, *roots], env=env, cwd=repo,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    expected = {"stripefile.read", "stripefile.footer_read", "rowtext.scan",
+                "columns.predicate", "columns.take", "planner.plan", "engine.execute"}
+    assert expected - set(done.stdout.split()) == set()

@@ -150,6 +150,25 @@ def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, text", [
+    ("rules.json", "{"), ("rules.json", '[{"user": "a"}]'),
+    ("service.json", None), ("service.json", "[]"),
+])
+def test_cli_serve_without_valid_rules_or_config(tmp_path, capsys, name, text):
+    # fails while loading --config or rules.json, before any socket or server thread exists
+    (tmp_path / "users.json").write_text("[]")
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    args = ["serve", "--port", "0", "--root", str(tmp_path)]
+    if name == "service.json":
+        args += ["--config", str(tmp_path / name)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    what = "rules" if name == "rules.json" else "service config"
+    assert err.startswith(f"error: InvalidConfig: cannot load {what} from ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("sql", ["SELECT COUNT(*) FROM t", "SELECT SUM(a) FROM t",
                                  "SELECT COUNT(*) FROM t WHERE b = 'c'"])
 def test_cli_invalid_utf8_is_malformed_record(tmp_path, capsys, sql):

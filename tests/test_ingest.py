@@ -103,6 +103,7 @@ def test_parse_error_position(tmp_path):
     ("2,a,1.0,12345-01-01", 4),
     ("2,a,1.0,-0001-01-01", 4),
     ("2,a,1.0,0000-12-31", 4),
+    ("2\x00,a,1.0,2001-01-01", 1),
 ])
 def test_ingest_rejects_out_of_range_values(tmp_path, fmt, text, column):
     csv_path = tmp_path / "in.csv"

@@ -1,5 +1,6 @@
 import pytest
 
+from stripehouse import stripefile
 from stripehouse.datagen import encounter_schema, lab_schema
 from stripehouse.planner import (
     AggFinalOp,
@@ -12,7 +13,6 @@ from stripehouse.planner import (
     ShuffleOp,
     estimate_cost,
     plan,
-    prune_tasks,
 )
 from stripehouse.schema import (
     Catalog,
@@ -143,9 +143,11 @@ def test_prune_tasks_selective_string_predicate(both_catalogs):
     scan = p.stages[0][0]
     assert scan.stripes_pruned > 0
     assert len(scan.tasks) == scan.stripes_total - scan.stripes_pruned
-    # pruning matches the storage rule: re-derive via prune_tasks idempotence
-    again = prune_tasks(scan, p.footers)
-    assert again.tasks == scan.tasks
+    # the kept tasks are, in order, the stripes the storage rule keeps
+    kept = [(path, si) for path, footer in p.footers.items()
+            for si, keep in enumerate(stripefile.prune_stripes(footer, scan.conjuncts))
+            if keep]
+    assert [(t.path, t.stripe_index) for t in scan.tasks] == kept
 
 
 def test_prune_tasks_contradictory_conjuncts(both_catalogs):

@@ -88,6 +88,16 @@ def test_malformed_record_out_of_range(tmp_path, line):
     assert ei.value.line_no == 2
 
 
+@pytest.mark.parametrize("ctype, text", [(ColumnType.INT64, "2\x00"),
+                                         (ColumnType.FLOAT64, "1.5\x00"),
+                                         (ColumnType.DATE, "2001-01-01\x00")])
+def test_decode_column_rejects_trailing_nul(ctype, text):
+    # numpy's astype alone would drop the NUL and read the field as a number
+    with pytest.raises(LookupError) as ei:
+        decode_column([text], ctype, lambda j, message: LookupError(j, message))
+    assert ei.value.args == (0, f"unparsable {ctype.value} value {text!r}")
+
+
 def test_predicate_filters_rows(tmp_path):
     rows = [(5, "a", 1.0), (15, "b", 2.0)]
     write_rowtext(rows, SCHEMA, tmp_path / "p.rtx")
@@ -306,7 +316,7 @@ def _outcome(fn):
 @given(rows=st.lists(MIXED_ROW, max_size=25), defect=DEFECT, final_newline=st.booleans(),
        needed=st.sets(st.integers(0, 3)), batch_rows=st.integers(1, 8) | st.just(4096),
        block=st.integers(1, 64) | st.just(1 << 20))
-# numpy drops the trailing NUL, int() does not: the bad field is line 1
+# "2\x00" is unparsable in every batch, so line 1 is reported before line 2's bad field
 @example(rows=[("2\x00", "", "", ""), ("1", "", "", "")], defect=(1, 0, 0),
          final_newline=True, needed={0}, batch_rows=4096, block=1 << 20)
 def test_scan_matches_per_line_reference(tmp_path_factory, rows, defect, final_newline,

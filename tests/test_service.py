@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from stripehouse.service import (
     encode_frame,
 )
 from stripehouse.schema import StorageFormat
+from stripehouse.values import days_to_iso
 
 
 # --- framing ---
@@ -149,6 +151,16 @@ def test_hello_and_query(server):
     assert resp["rows"] == [[100_000]]
     assert resp["metrics"]["rows_read"] == 0  # metadata count
     c.close()
+
+
+def test_date_results_are_iso_strings(server, seed_data):
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    resp = c.query("SELECT MIN(admit_date), MAX(admit_date) FROM encounter")
+    c.close()
+    days = [r[3] for r in seed_data["raw"]["encounter"]]
+    assert resp["rows"] == [[days_to_iso(min(days)), days_to_iso(max(days))]]
+    assert all(re.fullmatch(r"\d{4}-\d\d-\d\d", v) for v in resp["rows"][0])
 
 
 def test_query_before_hello(server):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripehouse.errors import BadMagic, CorruptFooter
+from stripehouse.errors import BadMagic, CorruptFooter, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
 from stripehouse.schema import ColumnType, TableSchema
 from stripehouse.stripefile import (
@@ -148,6 +148,18 @@ def test_round_trip_preserves_rows(tmp_path):
     write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=500)
     got = collect(scan_stripes(tmp_path / "p.stp", SCHEMA))
     assert rows_equal(got, rows)
+
+
+@pytest.mark.parametrize("columns", [
+    [("a", ColumnType.INT64, True), ("b", ColumnType.STRING, True),
+     ("c", ColumnType.INT64, True), ("d", ColumnType.DATE, True)],
+    [("a", ColumnType.INT64, True), ("b", ColumnType.STRING, True),
+     ("c", ColumnType.FLOAT64, True)],
+])
+def test_scan_rejects_other_column_types(tmp_path, columns):
+    write_stripes(make_rows(10, seed=1), SCHEMA, tmp_path / "p.stp")
+    with pytest.raises(TypeMismatch):
+        collect(scan_stripes(tmp_path / "p.stp", TableSchema.create("t", columns)))
 
 
 def test_byte_deterministic(tmp_path):
