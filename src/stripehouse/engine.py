@@ -2,10 +2,10 @@
 
 Stages run in plan order with a barrier between stages; tasks inside a
 stage are independent. Each op's output goes to one map keyed by op and
-task (or bucket). Both shuffles, of join rows and of partial groups,
-stage into one map keyed by (op, bucket, producer-task), so producers
-never contend; join buckets past the per-executor row budget spill to
-``<root>/shuffle/``.
+task (or bucket). The one shuffle, of join rows, stages into one map keyed
+by (op, bucket, producer-task), so producers never contend; buckets past
+the per-executor row budget spill to ``<root>/shuffle/``. Every plan ends
+in one AggFinal task that merges the partial groups in task order.
 
 One path per job: every join key type goes through one stable-argsort +
 searchsorted join; shuffle buckets and aggregation groups are split by
@@ -336,7 +336,7 @@ class Engine:
             op = plan.stages[0][0]
             total = 0
             for path in op.paths:
-                footer = plan.footers.get(path) or stripefile.read_footer(path)
+                footer = stripefile.read_footer(path)
                 total += footer.row_count
                 metrics.bytes_read += footer.bytes_read
                 metrics.stripes_total += len(footer.stripes)
@@ -360,7 +360,7 @@ class Engine:
                 # propagate the first failure, keep the process alive
                 for _ in pool.map(lambda fn: fn(), tasks):
                     pass
-            rows = state.collect_output()
+            rows = state.outputs[plan.stages[-1][0].op_id][0]  # the one AggFinal task
         finally:
             pool.shutdown(wait=True)
             if spill_dir.exists():
@@ -383,11 +383,9 @@ class _QueryState:
         self.spill_dir = spill_dir
         self.reducers = config.slots
         self.budget = config.executor_mem_rows
-        self.ops = {op.op_id: op for op in plan.ops()}
         # op_id -> {task or bucket: [Batch] | {group: [spec states]} | [row tuple]}
         self.outputs: dict[int, dict[int, object]] = {}
-        # (shuffle op_id, bucket) -> {producer: [Batch] | ('spill', path)
-        #                                      | {group: [spec states]}}
+        # (shuffle op_id, bucket) -> {producer: [Batch] | ('spill', path)}
         self.staging: dict[tuple[int, int], dict[int, object]] = {}
         self.bucket_rows: dict[tuple[int, int], int] = {}
         self._lock = threading.Lock()
@@ -402,8 +400,6 @@ class _QueryState:
                 for i in range(len(op.tasks))
             ]
         if isinstance(op, ShuffleOp):
-            if op.key_pos is None:
-                return [lambda o=op: self._partial_shuffle_task(o)]
             producers = sorted(self.outputs[op.input_op])
             return [
                 (lambda o=op, p=pid: self._shuffle_task(o, p))
@@ -421,18 +417,7 @@ class _QueryState:
                 for tid in task_ids
             ]
         if isinstance(op, AggFinalOp):
-            if isinstance(self.ops[op.input_op], ShuffleOp):
-                buckets = sorted(
-                    b for (oid, b) in self.staging if oid == op.input_op
-                )
-                if not buckets and not self.plan.query.bucket:
-                    buckets = [0]
-                return [
-                    (lambda o=op, b=bkt: self._finalize(
-                        o, self.staging.get((o.input_op, b), {}), b))
-                    for bkt in buckets
-                ]
-            return [lambda o=op: self._finalize(o, self.outputs[o.input_op], 0)]
+            return [lambda o=op: self._finalize(o)]
         raise AssertionError(f"unexpected op {op}")
 
     # --- scan ---
@@ -615,34 +600,17 @@ class _QueryState:
             in_range &= col.valid
         return _group_indices(gid, in_range)
 
-    def _partial_shuffle_task(self, op: ShuffleOp):
-        """Route partial groups to reducers by group-key hash."""
-        r = self.reducers
-        moved = 0
+    def _finalize(self, op: AggFinalOp):
+        """Merge the partial tasks' ``{group: [spec states]}`` in task order
+        and emit the result rows in ascending group order."""
         shards = self.outputs[op.input_op]
-        for task_id in sorted(shards):
-            routed: dict[int, dict] = {}
-            for g, states in shards[task_id].items():
-                b = fnv1a64_int(g) % r if self.plan.query.bucket else 0
-                routed.setdefault(b, {})[g] = states
-                moved += 1
-            for b, groups in routed.items():
-                with self._lock:
-                    slot = self.staging.setdefault((op.op_id, b), {})
-                slot[task_id] = groups
-        with self._lock:
-            self.metrics.shuffle_rows += moved
-
-    def _finalize(self, op: AggFinalOp, shards: dict[int, dict], bucket_key: int):
-        """Merge ``{producer: {group: [spec states]}}`` in producer order and
-        emit this bucket's result rows."""
         merged: dict[int, list] = {}
         for t in sorted(shards):
             _merge_slots(op.specs, merged, shards[t])
         with self._lock:
             if len(merged) > self.metrics.peak_group_count:
                 self.metrics.peak_group_count = len(merged)
-        if not op.grouped and not merged and bucket_key == 0:
+        if not op.grouped and not merged:
             merged[0] = [None] * len(op.specs)
         rows = []
         query = self.plan.query
@@ -657,17 +625,7 @@ class _QueryState:
                     row.append(finals[agg_i])
                     agg_i += 1
             rows.append(tuple(row))
-        self.outputs[op.op_id][bucket_key] = rows
-
-    def collect_output(self) -> list[tuple]:
-        final = self.outputs[self.plan.stages[-1][0].op_id]
-        rows: list[tuple] = []
-        for b in sorted(final):
-            rows.extend(final[b])
-        if self.plan.query.bucket:
-            pos = list(self.plan.query.select_is_bucket).index(True)
-            rows.sort(key=lambda r: r[pos])
-        return rows
+        self.outputs[op.op_id][0] = rows
 
 
 def execute(plan: PhysicalPlan, config: ExecConfig, data_root=None):

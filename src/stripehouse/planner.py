@@ -4,7 +4,7 @@ Stage shapes (a stage is one barrier group; ops inside it run together):
 
 * simple aggregation:  [Scan] -> [AggPartial] -> [AggFinal]        (3 stages)
 * join aggregation:    [Scan, Scan] -> [Shuffle, Shuffle] -> [Join]
-                       -> [AggPartial] -> [Shuffle] -> [AggFinal]  (6 stages)
+                       -> [AggPartial] -> [AggFinal]               (5 stages)
 * COUNT(*) with no predicate on a STRIPE table touches only footers
   (MetadataCount, 1 stage).
 
@@ -93,7 +93,7 @@ class ScanOp:
 class ShuffleOp:
     op_id: int
     input_op: int
-    key_pos: int | None  # None: route everything to bucket 0 (agg merge)
+    key_pos: int
     rows_estimate: int
     tasks_estimate: int
 
@@ -242,30 +242,16 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
             stripes_total=0,
             stripes_pruned=0,
             groups_estimate=groups,
-            footers=footers,
         )
 
     if query.join_cols is None:
         projection = _needed_columns(query, 0)
         scan = _scan_op(0, entry0, query.conjuncts[0], projection, prune, footers)
         pos_of = {col: i for i, col in enumerate(projection)}
-        bucket_pos = pos_of[query.bucket.column.index] if query.bucket else None
-        specs = tuple(
-            AggSpec(a.kind, None if a.column is None else pos_of[a.column.index])
-            for a in query.aggregates
-        )
-        agg_p = AggPartialOp(
-            op_id=1,
-            input_op=0,
-            bucket_pos=bucket_pos,
-            bucket_edges=query.bucket.edges if query.bucket else None,
-            specs=specs,
-            rows_estimate=scan.rows_max,
-            tasks_estimate=max(len(scan.tasks), 1),
-        )
-        agg_f = AggFinalOp(op_id=2, input_op=1, specs=specs, grouped=query.bucket is not None)
+        aggs = _agg_ops(query, 1, 0, lambda col: pos_of[col.index],
+                        scan.rows_max, max(len(scan.tasks), 1))
         return PhysicalPlan(
-            stages=((scan,), (agg_p,), (agg_f,)),
+            stages=((scan,), *aggs),
             query=query,
             reducers=reducers,
             stripes_total=scan.stripes_total,
@@ -314,36 +300,10 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         probe_rows=scans[probe_side].rows_total,
     )
 
-    bucket_pos = None
-    if query.bucket:
-        bc = query.bucket.column
-        bucket_pos = out_positions[(bc.table_pos, bc.index)]
-    specs = tuple(
-        AggSpec(a.kind,
-                None if a.column is None else out_positions[(a.column.table_pos, a.column.index)])
-        for a in query.aggregates
-    )
-    agg_p = AggPartialOp(
-        op_id=5,
-        input_op=4,
-        bucket_pos=bucket_pos,
-        bucket_edges=query.bucket.edges if query.bucket else None,
-        specs=specs,
-        rows_estimate=_ceil_div(join_op.probe_rows, reducers),
-        tasks_estimate=reducers,
-    )
-    group_shuffle = ShuffleOp(6, 5, None, groups * reducers, reducers)
-    agg_f = AggFinalOp(op_id=7, input_op=6, specs=specs, grouped=query.bucket is not None)
-
+    aggs = _agg_ops(query, 5, 4, lambda col: out_positions[(col.table_pos, col.index)],
+                    _ceil_div(join_op.probe_rows, reducers), reducers)
     return PhysicalPlan(
-        stages=(
-            tuple(scans),
-            tuple(shuffles),
-            (join_op,),
-            (agg_p,),
-            (group_shuffle,),
-            (agg_f,),
-        ),
+        stages=(tuple(scans), tuple(shuffles), (join_op,), *aggs),
         query=query,
         reducers=reducers,
         stripes_total=scans[0].stripes_total + scans[1].stripes_total,
@@ -351,6 +311,25 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         groups_estimate=groups,
         footers=footers,
     )
+
+
+def _agg_ops(query: ResolvedQuery, op_id: int, input_op: int, pos_of,
+             rows_estimate: int, tasks_estimate: int):
+    """The ``[AggPartial] -> [AggFinal]`` tail every plan ends with;
+    ``pos_of`` maps a query column to its position in the input batches."""
+    specs = tuple(AggSpec(a.kind, None if a.column is None else pos_of(a.column))
+                  for a in query.aggregates)
+    agg_p = AggPartialOp(
+        op_id=op_id,
+        input_op=input_op,
+        bucket_pos=pos_of(query.bucket.column) if query.bucket else None,
+        bucket_edges=query.bucket.edges if query.bucket else None,
+        specs=specs,
+        rows_estimate=rows_estimate,
+        tasks_estimate=tasks_estimate,
+    )
+    agg_f = AggFinalOp(op_id + 1, op_id, specs, grouped=query.bucket is not None)
+    return (agg_p,), (agg_f,)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -7,7 +7,12 @@ by a UTF-8 JSON body, 16 MiB max. Request types: ``hello`` (user/token),
 
 Authorization is per-table allow/deny with deny-overrides and default
 deny: a query runs only when every referenced table has a matching ALLOW
-and no matching DENY. ``*`` matches any table.
+and no matching DENY. ``*`` matches any table. A rules file whose effect is
+not exactly ``ALLOW`` or ``DENY`` is rejected.
+
+Each query request stats ``catalog.json`` once and re-reads it when its
+mtime or size changed, so partitions ingested while the server runs are
+visible to the next query.
 
 Every request appends one audit record (newline-delimited JSON, flushed
 and fsynced) before its response is sent; if the audit write fails the
@@ -101,13 +106,14 @@ class AccessRule:
 
 
 def authorize(user: str, tables, rules) -> str:
-    """ALLOWED iff every table has a matching ALLOW and no matching DENY."""
+    """ALLOWED iff every table has a matching ALLOW and no matching DENY;
+    a matching rule with any effect but ALLOW denies."""
     for table in tables:
         allowed = False
         for rule in rules:
             if not rule.matches(user, table):
                 continue
-            if rule.effect == DENY:
+            if rule.effect != ALLOW:
                 return DENIED
             allowed = True
         if not allowed:
@@ -121,7 +127,7 @@ def load_rules(path) -> list[AccessRule]:
         return []
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-        return [
+        rules = [
             AccessRule(
                 user=r["user"],
                 table=r["table"],
@@ -130,6 +136,10 @@ def load_rules(path) -> list[AccessRule]:
             )
             for r in raw
         ]
+        for r in rules:
+            if r.effect not in (ALLOW, DENY):
+                raise ValueError(f"effect {r.effect!r} is not {ALLOW} or {DENY}")
+        return rules
     except (OSError, ValueError, TypeError, KeyError) as e:
         raise InvalidConfig(f"cannot load rules from {path}: {type(e).__name__}: {e}") from e
 
@@ -312,7 +322,8 @@ class _Handler(socketserver.BaseRequestHandler):
     def _query(self, server, sock, engine, user, req, t0):
         sql = req.get("sql", "")
         try:
-            query = compile_text(sql, server.catalog)
+            catalog = server.catalog()
+            query = compile_text(sql, catalog)
         except StripehouseError as e:
             server.audit.append(user=user, action="QUERY", detail=sql,
                                 decision="ERROR", duration_s=time.perf_counter() - t0)
@@ -339,7 +350,7 @@ class _Handler(socketserver.BaseRequestHandler):
                               "message": f"bad execution options: {e}"})
             return
         try:
-            p = plan(query, server.catalog, cfg, prune=bool(req.get("prune", True)))
+            p = plan(query, catalog, cfg, prune=bool(req.get("prune", True)))
             result, metrics = engine.execute(p, cfg)
         except Exception as e:  # the session outlives any one query's failure
             if not isinstance(e, StripehouseError):
@@ -397,7 +408,9 @@ class StripehouseServer:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self.catalog = Catalog(config.data_root)
+        self._catalog_lock = threading.Lock()
+        self._catalog_stamp = self._catalog_stat()
+        self._catalog = Catalog(config.data_root)
         self.users = load_users(config.users_file)
         self._rules = load_rules(config.rules_file)
         self._rules_lock = threading.Lock()
@@ -409,6 +422,25 @@ class StripehouseServer:
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address
+
+    def _catalog_stat(self):
+        try:
+            st = (self.config.data_root / "catalog.json").stat()
+        except FileNotFoundError:
+            return None
+        except OSError as e:
+            raise IoFailure(f"cannot stat catalog: {e}") from e
+        return st.st_mtime_ns, st.st_size
+
+    def catalog(self) -> Catalog:
+        """The catalog, re-read when ``catalog.json`` changed on disk."""
+        # stat before reading, so a write between the two is seen next time
+        stamp = self._catalog_stat()
+        with self._catalog_lock:
+            if stamp != self._catalog_stamp:
+                self._catalog = Catalog(self.config.data_root)
+                self._catalog_stamp = stamp
+            return self._catalog
 
     def rules(self) -> list[AccessRule]:
         with self._rules_lock:

@@ -152,6 +152,7 @@ def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
 
 @pytest.mark.parametrize("name, text", [
     ("rules.json", "{"), ("rules.json", '[{"user": "a"}]'),
+    ("rules.json", '[{"user": "bob", "table": "encounter", "effect": "deny"}]'),
     ("service.json", None), ("service.json", "[]"),
 ])
 def test_cli_serve_without_valid_rules_or_config(tmp_path, capsys, name, text):

@@ -245,6 +245,18 @@ def test_complex_query_equals_oracle_seed42(seed_data, both_catalogs):
     for fmt, cat in both_catalogs.items():
         res, _ = run(cat, COMPLEX)
         assert res.rows == oracle.rows, fmt
+    # more groups (29) than reducers: one final task merges and orders them all
+    edges = ", ".join(str(7 * i) for i in range(30))
+    sql = (f"SELECT BUCKET(l.result_value, {edges}) AS cat, COUNT(*), "
+           "COUNT(DISTINCT e.patient_id), AVG(l.result_value) FROM lab_procedure l "
+           "JOIN encounter e ON l.encounter_id = e.encounter_id GROUP BY cat")
+    oracle = brute_force(compile_text(sql, both_catalogs[StorageFormat.STRIPE]),
+                         seed_data["raw"])
+    assert [r[0] for r in oracle.rows] == list(range(29))
+    for fmt, cat in both_catalogs.items():
+        for e, c in ((1, 1), (2, 2)):
+            res, _ = run(cat, sql, executors=e, cores=c)
+            assert repr(res.rows) == repr(oracle.rows), (fmt, e, c)
 
 
 def test_identical_results_across_executors(both_catalogs):

@@ -79,7 +79,7 @@ def test_rowtext_count_plan_shape(tmp_path):
     assert isinstance(p.stages[2][0], AggFinalOp)
 
 
-def test_join_plan_six_stages(tmp_path):
+def test_join_plan_five_stages(tmp_path):
     lab = lab_schema()
     enc = encounter_schema()
     cat = fake_rowtext_catalog(tmp_path, {
@@ -88,14 +88,13 @@ def test_join_plan_six_stages(tmp_path):
     })
     q = compile_text(COMPLEX, cat)
     p = plan(q, cat, ExecConfig(executors=4, cores_per_executor=3))
-    assert len(p.stages) == 6
+    assert len(p.stages) == 5
     kinds = [tuple(type(op).__name__ for op in stage) for stage in p.stages]
     assert kinds == [
         ("ScanOp", "ScanOp"),
         ("ShuffleOp", "ShuffleOp"),
         ("JoinOp",),
         ("AggPartialOp",),
-        ("ShuffleOp",),
         ("AggFinalOp",),
     ]
     assert p.reducers == 12  # R = E * C

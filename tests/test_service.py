@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripehouse.engine import Engine
+from stripehouse.ingest import ingest_csv
 from stripehouse.service import (
     ALLOW,
     ALLOWED,
@@ -20,7 +21,7 @@ from stripehouse.service import (
     decode_frame,
     encode_frame,
 )
-from stripehouse.schema import StorageFormat
+from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.values import days_to_iso
 
 
@@ -100,6 +101,16 @@ def test_deny_overrides_is_order_independent():
         rng.shuffle(shuffled)
         got = [authorize(u, t, shuffled) for u, t in cases]
         assert got == expected
+
+
+def test_unknown_effect_denies():
+    # a lower-case "deny" is no ALLOW, so it cannot grant
+    rules = [
+        AccessRule("bob", "*", effect=ALLOW),
+        AccessRule("bob", "encounter", effect="deny"),
+    ]
+    assert authorize("bob", ["encounter"], rules) == DENIED
+    assert authorize("bob", ["lab_procedure"], rules) == ALLOWED
 
 
 # --- live server ---
@@ -315,3 +326,32 @@ def test_internal_error_audited_session_survives(server, monkeypatch):
     records = [json.loads(line) for line in server.config.audit_file.read_text().splitlines()]
     assert [(r["action"], r["decision"]) for r in records[-2:]] == [
         ("QUERY", "ERROR"), ("PING", ALLOWED)]
+
+
+def test_ingest_while_serving_is_visible(tmp_path):
+    root = tmp_path / "db"
+    cat = Catalog(root)
+    cat.create_table(TableSchema.create("t", [("a", ColumnType.INT64, True)]),
+                     StorageFormat.STRIPE)
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("a\n" + "".join(f"{i}\n" for i in range(1000)))
+    ingest_csv(cat, "t", csv_file, partitions=2)
+    (tmp_path / "users.json").write_text(json.dumps(
+        [{"user": "alice", "token": "s3cret", "role": "ADMIN"}]))
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"user": "alice", "table": "*", "effect": "ALLOW"}]))
+    srv = StripehouseServer(ServiceConfig(
+        data_root=root, port=0, users_file=tmp_path / "users.json",
+        rules_file=tmp_path / "rules.json", audit_file=tmp_path / "audit.log"))
+    srv.start()
+    try:
+        c = connect(srv)
+        c.hello("alice", "s3cret")
+        assert c.query("SELECT COUNT(*) FROM t")["rows"] == [[1000]]
+        # a second ingest, as by another process with its own catalog object
+        ingest_csv(Catalog(root), "t", csv_file, partitions=2)
+        assert c.query("SELECT COUNT(*) FROM t")["rows"] == [[2000]]
+        assert c.query("SELECT SUM(a) FROM t")["rows"] == [[2 * sum(range(1000))]]
+        c.close()
+    finally:
+        srv.shutdown()
