@@ -22,6 +22,7 @@ from .ingest import ingest_csv
 from .planner import (
     DEFAULT_COSTS,
     ExecConfig,
+    JoinOp,
     MetadataCountOp,
     ScanOp,
     estimate_cost,
@@ -179,6 +180,9 @@ def cmd_explain(args) -> int:
                     desc += f" stripes_pruned={op.stripes_pruned}/{op.stripes_total}"
             elif isinstance(op, MetadataCountOp):
                 desc = f"MetadataCount[{op.table}] footers={len(op.paths)}"
+            elif isinstance(op, JoinOp):
+                shape = "broadcast" if op.broadcast else f"shuffle R={p.reducers}"
+                desc = f"Join[{shape} build={op.build_table} rows={op.build_rows}]"
             else:
                 desc = type(op).__name__.replace("Op", "")
             print(f"  {i}: {desc}")

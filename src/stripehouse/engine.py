@@ -2,16 +2,26 @@
 
 Stages run in plan order with a barrier between stages; tasks inside a
 stage are independent. Each op's output goes to one map keyed by op and
-task (or bucket). The one shuffle, of join rows, stages into one map keyed
-by (op, bucket, producer-task), so producers never contend; buckets past
-the per-executor row budget spill to ``<root>/shuffle/``. Every plan ends
-in one AggFinal task that merges the partial groups in task order.
+task (or bucket). Every plan ends in one AggFinal task that merges the
+partial groups in task order.
 
-One path per job: every join key type goes through one stable-argsort +
-searchsorted join; shuffle buckets and aggregation groups are split by
-one row splitter (``_group_indices``); every collecting aggregate keeps a
-list of arrays merged by ``+``, and distinct values come from one
-sort-based ``_sorted_unique``.
+A join runs in one of two shapes (the planner picks):
+
+* broadcast: the build scan's output is concatenated, cleaned of NULL/NaN
+  keys and sorted once per query, and each probe-scan task joins its own
+  output against it. Nothing is shuffled.
+* shuffle: both sides are hash-shuffled on the key into R buckets, staged
+  in one map keyed by (op, bucket, producer-task) so producers never
+  contend; buckets past the per-executor row budget spill to
+  ``<root>/shuffle/``. Each bucket prepares its own build side.
+
+One path per job: both join shapes run one sort-based kernel for every key
+type, ``_prepare_build`` (stable argsort, then the distinct keys with their
+run starts and lengths) and ``_probe`` (one searchsorted of the sorted
+probe keys into the distinct keys); shuffle buckets and aggregation groups
+are split by one row splitter (``_group_indices``); every collecting
+aggregate keeps a list of arrays merged by ``+``, and distinct values come
+from one sort-based ``_sorted_unique``.
 
 Determinism: task sets depend only on the plan; every merge walks inputs
 in producer-task order; SUM/AVG accumulate with exact summation
@@ -304,6 +314,71 @@ def _group_indices(gid: np.ndarray, in_range: np.ndarray | None) -> dict[int, np
     return out
 
 
+@dataclass
+class _BuildSide:
+    """A join build side, prepared once for any number of probes."""
+    keys: np.ndarray    # distinct non-NULL, non-NaN build keys, ascending
+    starts: np.ndarray  # where each key's run starts in ``order``
+    counts: np.ndarray  # the run's length
+    order: np.ndarray   # build rows with a key, stably sorted by key
+    cols: list          # build output columns, all rows
+
+
+def _key_rows(col) -> np.ndarray | None:
+    """Rows whose join key can match (not NULL, not NaN); None for all."""
+    valid = col.valid
+    if col.data.dtype == np.float64:
+        not_nan = ~np.isnan(col.data)
+        valid = not_nan if valid is None else valid & not_nan
+    if valid is None or valid.all():
+        return None
+    return np.flatnonzero(valid)
+
+
+def _prepare_build(key_col, cols: list) -> _BuildSide:
+    keys = key_col.data
+    rows = _key_rows(key_col)
+    if rows is not None:
+        keys = keys[rows]
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    if rows is not None:
+        order = rows[order]
+    new = np.ones(len(skeys), dtype=bool)
+    new[1:] = skeys[1:] != skeys[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(skeys)))
+    return _BuildSide(skeys[starts], starts, counts, order, cols)
+
+
+def _probe(build: _BuildSide, key_col) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(probe rows, build rows)`` of every matching pair, in probe order,
+    then build order within equal keys; None when nothing matches. Str keys
+    compare as Python objects, float keys as IEEE values (-0.0 = 0.0)."""
+    keys = key_col.data
+    rows = _key_rows(key_col)
+    if rows is not None:
+        keys = keys[rows]
+    if len(keys) == 0 or len(build.keys) == 0:
+        return None
+    # one search, of the sorted probe keys; the scatter restores probe order
+    perm = np.argsort(keys)
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[perm] = np.searchsorted(build.keys, keys[perm], side="left")
+    np.minimum(pos, len(build.keys) - 1, out=pos)
+    hit = np.flatnonzero(build.keys[pos] == keys)
+    if len(hit) == 0:
+        return None
+    pos = pos[hit]
+    counts = build.counts[pos]
+    ends = np.cumsum(counts)
+    # pair j of a run is build row order[start + j]
+    shift = np.repeat(build.starts[pos] - (ends - counts), counts)
+    build_rows = build.order[np.arange(int(ends[-1])) + shift]
+    probe_rows = np.repeat(hit if rows is None else rows[hit], counts)
+    return probe_rows, build_rows
+
+
 class Engine:
     """Executes physical plans; one query at a time per engine object."""
 
@@ -404,6 +479,13 @@ class _QueryState:
             return [
                 (lambda o=op, p=pid: self._shuffle_task(o, p))
                 for pid in producers
+            ]
+        if isinstance(op, JoinOp) and op.broadcast:
+            built = self.outputs[op.build_input]
+            build = self._build_side(op, [b for t in sorted(built) for b in built[t]])
+            return [
+                (lambda o=op, t=tid, b=build: self._join_task(o, t, b))
+                for tid in sorted(self.outputs[op.probe_input])
             ]
         if isinstance(op, JoinOp):
             return [
@@ -524,52 +606,34 @@ class _QueryState:
 
     # --- join ---
 
-    def _join_task(self, op: JoinOp, bucket: int):
-        build = self._load_bucket(op.build_input, bucket)
-        probe = self._load_bucket(op.probe_input, bucket)
+    def _join_task(self, op: JoinOp, task: int, build: _BuildSide | None = None):
+        """Join one probe-scan task's output (broadcast) or one bucket (shuffle)."""
+        if op.broadcast:
+            probe = self.outputs[op.probe_input][task]
+        else:
+            probe = self._load_bucket(op.probe_input, task)
+            build = self._build_side(op, self._load_bucket(op.build_input, task))
         out: list[Batch] = []
-        build_rows = sum(b.n_rows for b in build)
+        if build is not None and probe:
+            pairs = _probe(build, C.concat([b.cols[op.probe_key_pos] for b in probe]))
+            if pairs is not None:
+                probe_idx, build_idx = pairs
+                probe_cols = [C.take(C.concat([b.cols[p] for b in probe]), probe_idx)
+                              for p in op.probe_out]
+                out.append(Batch(len(probe_idx),
+                                 probe_cols + [C.take(c, build_idx) for c in build.cols]))
+        self.outputs[op.op_id][task] = out
+
+    def _build_side(self, op: JoinOp, batches: list[Batch]) -> _BuildSide | None:
+        build_rows = sum(b.n_rows for b in batches)
         if build_rows > self.budget:
             raise MemoryBudgetExceeded(
                 f"join build side of {build_rows} rows exceeds budget {self.budget}"
             )
-        if build and probe:
-            out_batch = self._hash_join(op, build, probe)
-            if out_batch is not None:
-                out.append(out_batch)
-        self.outputs[op.op_id][bucket] = out
-
-    def _hash_join(self, op: JoinOp, build: list[Batch], probe: list[Batch]) -> Batch | None:
-        """Equi-join of one bucket, for every key type (str keys compare as
-        Python objects): stable argsort of the build keys, then searchsorted
-        of the probe keys. Rows come out in probe order, then in build order
-        within equal keys."""
-        bkey_col = C.concat([b.cols[op.build_key_pos] for b in build])
-        build_cols = [
-            C.concat([b.cols[p] for b in build]) for p in op.build_out
-        ]
-        bkeys = bkey_col.data
-        order = np.argsort(bkeys, kind="stable")
-        skeys = bkeys[order]
-        pkey_col = C.concat([b.cols[op.probe_key_pos] for b in probe])
-        pkeys = pkey_col.data
-        lo = np.searchsorted(skeys, pkeys, side="left")
-        hi = np.searchsorted(skeys, pkeys, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
+        if not batches:
             return None
-        probe_idx = np.repeat(np.arange(len(pkeys)), counts)
-        starts = np.repeat(lo, counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(total) - np.repeat(offsets, counts)
-        build_idx = order[starts + within]
-        probe_cols = [
-            C.take(C.concat([b.cols[p] for b in probe]), probe_idx)
-            for p in op.probe_out
-        ]
-        out_cols = probe_cols + [C.take(bc, build_idx) for bc in build_cols]
-        return Batch(total, out_cols)
+        return _prepare_build(C.concat([b.cols[op.build_key_pos] for b in batches]),
+                              [C.concat([b.cols[p] for b in batches]) for p in op.build_out])
 
     # --- aggregation ---
 

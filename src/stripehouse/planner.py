@@ -3,10 +3,20 @@
 Stage shapes (a stage is one barrier group; ops inside it run together):
 
 * simple aggregation:  [Scan] -> [AggPartial] -> [AggFinal]        (3 stages)
-* join aggregation:    [Scan, Scan] -> [Shuffle, Shuffle] -> [Join]
+* broadcast join:      [Scan, Scan] -> [Join] -> [AggPartial]
+                       -> [AggFinal]                               (4 stages)
+* shuffle join:        [Scan, Scan] -> [Shuffle, Shuffle] -> [Join]
                        -> [AggPartial] -> [AggFinal]               (5 stages)
 * COUNT(*) with no predicate on a STRIPE table touches only footers
   (MetadataCount, 1 stage).
+
+A join builds on the smaller table by catalog row count. When the build
+scan's rows (after stripe pruning) fit ``executor_mem_rows``, the join is a
+broadcast: the whole build side meets every probe-scan task, one join task
+per probe-scan task, and nothing is shuffled (Spark's broadcast hash join;
+Blanas et al., SIGMOD 2010). Otherwise both sides are hash-shuffled to
+R buckets and each bucket is joined on its own. Both shapes run the same
+sort-based join kernel in the engine.
 
 Stripe pruning is decided here, once: ``_scan_op`` reads each partition's
 footer once and keeps the stripes ``stripefile.prune_stripes`` keeps. A
@@ -19,6 +29,9 @@ The cost model is advisory and never gates execution::
     compute      = sum over ops  ceil(tasks / (E*C)) * max_task_rows * c_row
     shuffle      = shuffle_rows * c_net
     coordination = x * E * n_stages
+
+A broadcast join's compute is its build rows, sorted once, plus
+ceil(probe tasks / (E*C)) * max probe-task rows; it adds no shuffle rows.
 """
 
 from __future__ import annotations
@@ -101,6 +114,8 @@ class ShuffleOp:
 @dataclass(frozen=True)
 class JoinOp:
     op_id: int
+    broadcast: bool  # inputs are the two scans, else the two shuffles
+    build_table: str
     build_input: int
     probe_input: int
     build_key_pos: int
@@ -272,15 +287,21 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         _scan_op(1, query.entries[1], query.conjuncts[1], proj[1], prune, footers),
     ]
     key_pos = [proj[0].index(left_key.index), proj[1].index(right_key.index)]
-    shuffles = [
-        ShuffleOp(2, 0, key_pos[0], scans[0].rows_total, max(len(scans[0].tasks), 1)),
-        ShuffleOp(3, 1, key_pos[1], scans[1].rows_total, max(len(scans[1].tasks), 1)),
-    ]
 
-    # hash join builds on the smaller side by catalog row counts
+    # the join builds on the smaller side by catalog row counts
     catalog_rows = [query.entries[0].row_count, query.entries[1].row_count]
     build_side = 0 if catalog_rows[0] < catalog_rows[1] else 1
     probe_side = 1 - build_side
+    broadcast = scans[build_side].rows_total <= config.executor_mem_rows
+    if broadcast:
+        inputs, shuffle_stage = [0, 1], ()
+    else:
+        inputs = [2, 3]
+        shuffle_stage = ((
+            ShuffleOp(2, 0, key_pos[0], scans[0].rows_total, max(len(scans[0].tasks), 1)),
+            ShuffleOp(3, 1, key_pos[1], scans[1].rows_total, max(len(scans[1].tasks), 1)),
+        ),)
+    join_id = inputs[1] + 1
     out_positions = {}  # (side, schema col idx) -> position in join output
     probe_out = [proj[probe_side].index(i) for i in needed[probe_side]]
     build_out = [proj[build_side].index(i) for i in needed[build_side]]
@@ -289,9 +310,11 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
     for k, i in enumerate(needed[build_side]):
         out_positions[(build_side, i)] = len(probe_out) + k
     join_op = JoinOp(
-        op_id=4,
-        build_input=shuffles[build_side].op_id,
-        probe_input=shuffles[probe_side].op_id,
+        op_id=join_id,
+        broadcast=broadcast,
+        build_table=scans[build_side].table,
+        build_input=inputs[build_side],
+        probe_input=inputs[probe_side],
         build_key_pos=key_pos[build_side],
         probe_key_pos=key_pos[probe_side],
         build_out=tuple(build_out),
@@ -300,10 +323,16 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         probe_rows=scans[probe_side].rows_total,
     )
 
-    aggs = _agg_ops(query, 5, 4, lambda col: out_positions[(col.table_pos, col.index)],
-                    _ceil_div(join_op.probe_rows, reducers), reducers)
+    if broadcast:  # one join task per probe-scan task
+        probe_scan = scans[probe_side]
+        rows_estimate, tasks_estimate = probe_scan.rows_max, max(len(probe_scan.tasks), 1)
+    else:
+        rows_estimate, tasks_estimate = _ceil_div(join_op.probe_rows, reducers), reducers
+    aggs = _agg_ops(query, join_id + 1, join_id,
+                    lambda col: out_positions[(col.table_pos, col.index)],
+                    rows_estimate, tasks_estimate)
     return PhysicalPlan(
-        stages=(tuple(scans), tuple(shuffles), (join_op,), *aggs),
+        stages=(tuple(scans), *shuffle_stage, (join_op,), *aggs),
         query=query,
         reducers=reducers,
         stripes_total=scans[0].stripes_total + scans[1].stripes_total,
@@ -346,6 +375,7 @@ def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
 
     compute = 0.0
     shuffle_rows = 0
+    by_id = {op.op_id: op for op in plan.ops()}
     for op in plan.ops():
         if isinstance(op, MetadataCountOp):
             tasks, rows = len(op.paths), 0
@@ -354,6 +384,10 @@ def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
         elif isinstance(op, ShuffleOp):
             tasks, rows = op.tasks_estimate, _ceil_div(op.rows_estimate, max(op.tasks_estimate, 1))
             shuffle_rows += op.rows_estimate
+        elif isinstance(op, JoinOp) and op.broadcast:
+            probe = by_id[op.probe_input]
+            compute += op.build_rows * constants.per_row  # the build, sorted once
+            tasks, rows = len(probe.tasks), probe.rows_max
         elif isinstance(op, JoinOp):
             tasks, rows = r, _ceil_div(op.build_rows + op.probe_rows, r)
         elif isinstance(op, AggPartialOp):

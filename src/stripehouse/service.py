@@ -14,6 +14,11 @@ Each query request stats ``catalog.json`` once and re-reads it when its
 mtime or size changed, so partitions ingested while the server runs are
 visible to the next query.
 
+A query request may set ``executors``, ``cores`` and ``mem_rows`` (plain
+JSON integers, at most ``MAX_SLOTS`` executor x core slots and
+``MAX_MEM_ROWS`` rows a budget) and ``prune`` (a JSON bool); anything else
+is refused with ``BAD_REQUEST`` before the query is planned.
+
 Every request appends one audit record (newline-delimited JSON, flushed
 and fsynced) before its response is sent; if the audit write fails the
 request fails closed.
@@ -43,6 +48,9 @@ from .sql import compile_text
 FRAME_MAX = 16 * 1024 * 1024
 ALLOW, DENY = "ALLOW", "DENY"
 ALLOWED, DENIED = "ALLOWED", "DENIED"
+# the most one query request may ask for
+MAX_SLOTS = 64
+MAX_MEM_ROWS = ExecConfig().executor_mem_rows
 
 
 # --- framing ---
@@ -245,6 +253,28 @@ class ServiceConfig:
                                else self.data_root / "audit.log")
 
 
+def exec_options(req: dict) -> tuple[ExecConfig, bool]:
+    """The execution config and prune flag a query request asks for;
+    ValueError when an option is of the wrong JSON type or out of bounds."""
+    default = ExecConfig()
+    fields = {}
+    for name, field in (("executors", "executors"), ("cores", "cores_per_executor"),
+                        ("mem_rows", "executor_mem_rows")):
+        v = req.get(name, getattr(default, field))
+        if type(v) is not int:  # bool is an int subclass; refuse it too
+            raise ValueError(f"{name} must be an integer, not {v!r}")
+        fields[field] = v
+    prune = req.get("prune", True)
+    if type(prune) is not bool:
+        raise ValueError(f"prune must be true or false, not {prune!r}")
+    cfg = ExecConfig(**fields)
+    if cfg.slots > MAX_SLOTS:
+        raise ValueError(f"executors x cores = {cfg.slots} exceeds {MAX_SLOTS}")
+    if cfg.executor_mem_rows > MAX_MEM_ROWS:
+        raise ValueError(f"mem_rows {cfg.executor_mem_rows} exceeds {MAX_MEM_ROWS}")
+    return cfg, prune
+
+
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         server: StripehouseServer = self.server.owner
@@ -338,19 +368,15 @@ class _Handler(socketserver.BaseRequestHandler):
                               "message": f"access denied on {'/'.join(query.table_names)}"})
             return
         try:
-            cfg = ExecConfig(
-                executors=int(req.get("executors", 8)),
-                executor_mem_rows=int(req.get("mem_rows", 1_000_000)),
-                cores_per_executor=int(req.get("cores", 3)),
-            )
-        except (TypeError, ValueError) as e:
+            cfg, prune = exec_options(req)
+        except ValueError as e:
             server.audit.append(user=user, action="QUERY", detail=sql,
                                 decision="ERROR", duration_s=time.perf_counter() - t0)
             send_frame(sock, {"type": "error", "code": "BAD_REQUEST",
                               "message": f"bad execution options: {e}"})
             return
         try:
-            p = plan(query, catalog, cfg, prune=bool(req.get("prune", True)))
+            p = plan(query, catalog, cfg, prune=prune)
             result, metrics = engine.execute(p, cfg)
         except Exception as e:  # the session outlives any one query's failure
             if not isinstance(e, StripehouseError):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import stripehouse
+from stripehouse import cli
 from stripehouse.cli import main
+from stripehouse.planner import ExecConfig
 from stripehouse.service import Client
 
 
@@ -42,6 +45,22 @@ def test_cli_end_to_end(tmp_path, capsys):
                  "--root", str(root), "--executors", "2", "--cores", "2"]) == 0
     text = capsys.readouterr().out
     assert "cat" in text and "count(distinct patient_id)" in text
+
+    complex_query = ("SELECT BUCKET(l.result_value,0,50,100,200) AS cat, "
+                     "COUNT(DISTINCT e.patient_id) FROM lab_procedure l "
+                     "JOIN encounter e ON l.encounter_id = e.encounter_id "
+                     "WHERE l.lab_code = 'LC03' GROUP BY cat")
+    assert main(["explain", "-e", complex_query, "--root", str(root)]) == 0
+    text = capsys.readouterr().out
+    assert "stages (4):" in text
+    assert "  1: Join[broadcast build=encounter rows=400]" in text
+    # a budget below the 400 build rows shuffles both sides
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ExecConfig", functools.partial(ExecConfig, executor_mem_rows=399))
+        assert main(["explain", "-e", complex_query, "--root", str(root)]) == 0
+    text = capsys.readouterr().out
+    assert "stages (5):" in text
+    assert "  2: Join[shuffle R=24 build=encounter rows=400]" in text
 
     assert main(["explain", "-e", "SELECT COUNT(*) FROM lab_procedure "
                  "WHERE lab_code = 'LC03'", "--root", str(root)]) == 0

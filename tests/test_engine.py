@@ -55,6 +55,30 @@ def run(cat, sql, executors=2, cores=2, mem_rows=1_000_000, prune=True):
     return execute(p, cfg, cat.data_root)
 
 
+def run_join_shapes(cat, sql, executors=2, cores=2):
+    """Result of a join query run broadcast (the default budget) and, with
+    the budget one row below the build side, shuffled; asserts the plan
+    shapes and that both runs give the same rows."""
+    q = compile_text(sql, cat)
+    cfg = ExecConfig(executors=executors, cores_per_executor=cores)
+    p = plan(q, cat, cfg)
+    kinds = [tuple(type(op).__name__ for op in stage) for stage in p.stages]
+    assert kinds[:2] == [("ScanOp", "ScanOp"), ("JoinOp",)] and len(kinds) == 4, kinds
+    join = p.stages[1][0]
+    assert join.broadcast
+    res, metrics = execute(p, cfg, cat.data_root)
+    assert metrics.shuffle_rows == 0
+    small = ExecConfig(executors=executors, cores_per_executor=cores,
+                       executor_mem_rows=join.build_rows - 1)
+    p = plan(q, cat, small)
+    kinds = [tuple(type(op).__name__ for op in stage) for stage in p.stages]
+    assert kinds[:3] == [("ScanOp", "ScanOp"), ("ShuffleOp", "ShuffleOp"), ("JoinOp",)], kinds
+    assert not p.stages[2][0].broadcast
+    shuffled, _ = execute(p, small, cat.data_root)
+    assert repr(shuffled.rows) == repr(res.rows), sql
+    return res
+
+
 def test_fnv_reference_values():
     # FNV-1a 64-bit published test vectors
     assert fnv1a64(b"") == 0xCBF29CE484222325
@@ -113,7 +137,7 @@ def test_float_join_keys_nan_and_signed_zero(tmp_path, fmt):
     assert brute_force(compile_text(sql, cat), raw).rows == [(2, 50.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res, _ = run(cat, sql)
+        res = run_join_shapes(cat, sql)
     assert res.rows == [(2, 50.0)]
     # one NaN, and -0.0 = 0.0, in COUNT DISTINCT; NaN makes AVG NaN
     for sql, expected in (("SELECT COUNT(DISTINCT k), AVG(v) FROM a", (3, 25.0)),
@@ -166,7 +190,7 @@ def test_string_join_keys_match_oracle(tmp_path, fmt):
         oracle = brute_force(compile_text(sql, cat), raw)
         assert oracle.rows and oracle.rows[0][0] is not None
         for e, c in ((1, 1), (4, 3)):
-            res, _ = run(cat, sql, executors=e, cores=c)
+            res = run_join_shapes(cat, sql, executors=e, cores=c)
             assert res.rows == oracle.rows, (sql, e, c)
 
 
@@ -243,7 +267,7 @@ def test_complex_query_equals_oracle_seed42(seed_data, both_catalogs):
     # frozen from the seed-42 generator stream
     assert oracle.rows == [(0, 683), (1, 705), (2, 889)]
     for fmt, cat in both_catalogs.items():
-        res, _ = run(cat, COMPLEX)
+        res = run_join_shapes(cat, COMPLEX)
         assert res.rows == oracle.rows, fmt
     # more groups (29) than reducers: one final task merges and orders them all
     edges = ", ".join(str(7 * i) for i in range(30))
@@ -257,6 +281,10 @@ def test_complex_query_equals_oracle_seed42(seed_data, both_catalogs):
         for e, c in ((1, 1), (2, 2)):
             res, _ = run(cat, sql, executors=e, cores=c)
             assert repr(res.rows) == repr(oracle.rows), (fmt, e, c)
+        # shuffled with a budget below the 10^4 build rows, a task needs more
+        # reducers to keep its 29 groups' distinct sets inside that budget
+        res = run_join_shapes(cat, sql, executors=4, cores=3)
+        assert repr(res.rows) == repr(oracle.rows), fmt
 
 
 def test_identical_results_across_executors(both_catalogs):
@@ -405,5 +433,10 @@ def test_randomized_queries_match_oracle(both_catalogs, seed_data):
         assert results_equal(res, oracle), sql
         res_r, _ = run(cat_r, sql, executors=2, cores=2)
         assert res_r.rows == res.rows, sql  # bit-identical across formats
+        if q.join_cols is not None:
+            # broadcast and shuffled; 12 reducers keep a shuffled task's
+            # distinct sets inside the smaller budget
+            for cat in (cat_s, cat_r):
+                assert run_join_shapes(cat, sql, executors=4, cores=3).rows == res.rows, sql
         checked += 1
     assert checked == 30

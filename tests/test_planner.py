@@ -80,6 +80,8 @@ def test_rowtext_count_plan_shape(tmp_path):
 
 
 def test_join_plan_five_stages(tmp_path):
+    # a build side that fits the budget is broadcast (4 stages); one that
+    # does not is shuffled (5 stages)
     lab = lab_schema()
     enc = encounter_schema()
     cat = fake_rowtext_catalog(tmp_path, {
@@ -88,6 +90,17 @@ def test_join_plan_five_stages(tmp_path):
     })
     q = compile_text(COMPLEX, cat)
     p = plan(q, cat, ExecConfig(executors=4, cores_per_executor=3))
+    kinds = [tuple(type(op).__name__ for op in stage) for stage in p.stages]
+    assert kinds == [
+        ("ScanOp", "ScanOp"),
+        ("JoinOp",),
+        ("AggPartialOp",),
+        ("AggFinalOp",),
+    ]
+    assert p.stages[1][0].broadcast
+    assert p.reducers == 12  # R = E * C
+    p = plan(q, cat, ExecConfig(executors=4, cores_per_executor=3,
+                                executor_mem_rows=7_999))
     assert len(p.stages) == 5
     kinds = [tuple(type(op).__name__ for op in stage) for stage in p.stages]
     assert kinds == [
@@ -97,7 +110,8 @@ def test_join_plan_five_stages(tmp_path):
         ("AggPartialOp",),
         ("AggFinalOp",),
     ]
-    assert p.reducers == 12  # R = E * C
+    assert not p.stages[2][0].broadcast
+    assert p.reducers == 12
 
 
 def test_predicate_pushed_to_owning_scan(tmp_path):
@@ -118,11 +132,17 @@ def test_join_builds_on_smaller_side(tmp_path):
         "encounter": (encounter_schema(), [1_000] * 8),
     })
     q = compile_text(COMPLEX, cat)
-    p = plan(q, cat, ExecConfig())
-    join = p.stages[2][0]
-    assert isinstance(join, JoinOp)
-    assert join.build_rows == 8_000  # encounter side
-    assert join.probe_rows == 80_000
+    # broadcast up to a budget of exactly the build rows
+    for mem_rows, broadcast in ((1_000_000, True), (8_000, True), (7_999, False)):
+        cfg = ExecConfig(executors=4, cores_per_executor=3, executor_mem_rows=mem_rows)
+        p = plan(q, cat, cfg)
+        join = p.stages[1 if broadcast else 2][0]
+        assert isinstance(join, JoinOp)
+        assert join.broadcast is broadcast
+        assert join.build_table == "encounter"
+        assert join.build_rows == 8_000  # encounter side
+        assert join.probe_rows == 80_000
+        assert p.reducers == 12
 
 
 def test_prune_tasks_no_predicate_no_pruning(both_catalogs):
@@ -237,6 +257,43 @@ def test_argmin_invariant_under_uniform_constant_scaling(tmp_path):
         coordination=base.coordination * 7,
     )
     assert argmin(base) == argmin(scaled)
+
+
+def test_broadcast_cost_no_shuffle_term(tmp_path):
+    cat = fake_rowtext_catalog(tmp_path, {
+        "lab_procedure": (lab_schema(), [10_000] * 8),
+        "encounter": (encounter_schema(), [1_000] * 8),
+    })
+    q = compile_text(COMPLEX, cat)
+    cfg = ExecConfig(executors=2, cores_per_executor=2)
+    c = estimate_cost(plan(q, cat, cfg), cfg)
+    assert c.shuffle == 0.0
+    # scans 2 * (1e4 + 1e3), build sorted once 8e3, probe 2 * 1e4,
+    # partial aggregation 2 * 1e4, final 3 groups * 4 reducers
+    rows = 2 * (10_000 + 1_000) + 8_000 + 2 * 10_000 + 2 * 10_000 + 3 * 4
+    assert c.compute == pytest.approx(rows * 1e-6)
+    assert c.coordination == 2 * 4
+
+
+@pytest.mark.parametrize("enc_rows", [1_000_000, 1_000_001])
+def test_join_cost_argmin_interior_at_ladder_scale(tmp_path, enc_rows):
+    # the 10^7 ladder's task counts: 1000 lab tasks of 10^4 rows; encounter
+    # at the budget is broadcast, one row over it is shuffled
+    cat = fake_rowtext_catalog(tmp_path, {
+        "lab_procedure": (lab_schema(), [10_000] * 1000),
+        "encounter": (encounter_schema(), [enc_rows // 8] * 7 + [enc_rows - 7 * (enc_rows // 8)]),
+    })
+    q = compile_text(COMPLEX, cat)
+    sweep = (1, 2, 4, 8, 16, 32)
+    totals = {}
+    for e in sweep:
+        cfg = ExecConfig(executors=e, cores_per_executor=1)
+        p = plan(q, cat, cfg)
+        join = next(op for op in p.ops() if isinstance(op, JoinOp))
+        assert join.broadcast is (enc_rows <= cfg.executor_mem_rows)
+        totals[e] = estimate_cost(p, cfg).total
+    best = min(totals, key=totals.get)
+    assert best not in (sweep[0], sweep[-1]), totals
 
 
 def test_cost_deterministic(both_catalogs):

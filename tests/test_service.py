@@ -312,6 +312,44 @@ def test_bad_exec_options_rejected(server):
     c.close()
 
 
+@pytest.mark.parametrize("opts", [
+    {"executors": 100_000, "cores": 100_000},
+    {"executors": 22, "cores": 3},  # 66 slots
+    {"mem_rows": 10**12},
+    {"executors": True},
+    {"executors": 2.5},
+    {"executors": "3"},
+    {"cores": None},
+    {"mem_rows": 1e6},
+    {"prune": "false"},
+    {"prune": 0},
+])
+def test_unbounded_or_mistyped_exec_options_rejected(server, monkeypatch, opts):
+    def fail(self, plan, config):
+        raise AssertionError("a refused request reached the engine")
+
+    monkeypatch.setattr(Engine, "execute", fail)
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    resp = c.query("SELECT COUNT(*) FROM lab_procedure", **opts)
+    assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST", resp
+    c.close()
+    last = json.loads(server.config.audit_file.read_text().splitlines()[-1])
+    assert (last["action"], last["decision"]) == ("QUERY", "ERROR")
+
+
+def test_bounded_exec_options_answer(server):
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    sql = "SELECT COUNT(*) FROM lab_procedure WHERE lab_code = 'LC03'"
+    answers = [c.query(sql, executors=e, cores=k, mem_rows=m, prune=p)
+               for e, k, m, p in ((8, 3, 1_000_000, True), (1, 1, 1, False),
+                                  (16, 4, 1_000_000, True))]
+    assert [a["type"] for a in answers] == ["result"] * 3
+    assert answers[0]["rows"] == answers[1]["rows"] == answers[2]["rows"]
+    c.close()
+
+
 def test_internal_error_audited_session_survives(server, monkeypatch):
     def fail(self, plan, config):
         raise RuntimeError("boom")
