@@ -164,7 +164,8 @@ def cmd_explain(args) -> int:
     root = _root(args)
     cat = Catalog(root)
     query = compile_text(args.sql, cat)
-    config = ExecConfig(executors=args.executors, cores_per_executor=args.cores)
+    config = ExecConfig(executors=args.executors, executor_mem_rows=args.mem_rows,
+                        cores_per_executor=args.cores)
     p = plan(query, cat, config, prune=not args.no_prune)
     print(f"query: {query.text}")
     print(f"stages ({len(p.stages)}):")
@@ -191,7 +192,8 @@ def cmd_explain(args) -> int:
     print(f"  {'E':>3} {'total':>12} {'startup':>10} {'compute':>10} "
           f"{'shuffle':>10} {'coord':>10}")
     for e in (1, 2, 4, 8, 16, 32):
-        cfg = ExecConfig(executors=e, cores_per_executor=args.cores)
+        cfg = ExecConfig(executors=e, executor_mem_rows=args.mem_rows,
+                         cores_per_executor=args.cores)
         pe = plan(query, cat, cfg, prune=not args.no_prune)
         c = estimate_cost(pe, cfg, DEFAULT_COSTS)
         print(
@@ -331,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-e", dest="sql", required=True)
     p.add_argument("--executors", type=int, default=8)
     p.add_argument("--cores", type=int, default=3)
+    p.add_argument("--mem-rows", type=int, default=1_000_000)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--format", choices=["rowtext", "stripe"], default=None)
     p.add_argument("--root", default=None)

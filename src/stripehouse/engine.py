@@ -1,9 +1,18 @@
-"""Plan execution on a pool of executors * cores worker slots.
+"""Plan execution on one process-wide worker pool.
 
 Stages run in plan order with a barrier between stages; tasks inside a
 stage are independent. Each op's output goes to one map keyed by op and
 task (or bucket). Every plan ends in one AggFinal task that merges the
 partial groups in task order.
+
+Every query and every ``Engine`` share one pool of ``os.cpu_count()``
+worker threads, made on the first query that needs it (morsel-driven
+scheduling, Leis et al., SIGMOD 2014). A query runs at most
+``min(config.slots, os.cpu_count())`` tasks at once: the calling thread
+and that many less one pool lanes pull a stage's tasks from one shared
+iterator, so a bound of 1 runs the query inline. ``config.slots`` still
+sets the R = E*C reducers. When a task fails, the tasks not yet started
+are skipped, the ones running are waited for, and then the error is raised.
 
 A join runs in one of two shapes (the planner picks):
 
@@ -19,28 +28,29 @@ One path per job: both join shapes run one sort-based kernel for every key
 type, ``_prepare_build`` (stable argsort, then the distinct keys with their
 run starts and lengths) and ``_probe`` (one searchsorted of the sorted
 probe keys into the distinct keys); shuffle buckets and aggregation groups
-are split by one row splitter (``_group_indices``); every collecting
-aggregate keeps a list of arrays merged by ``+``, and distinct values come
-from one sort-based ``_sorted_unique``.
+are split by one row splitter (``_group_indices``); every aggregate state
+but MIN/MAX merges by ``+``, and distinct values come from one sort-based
+``_sorted_unique``.
 
 Determinism: task sets depend only on the plan; every merge walks inputs
-in producer-task order; SUM/AVG accumulate with exact summation
-(math.fsum over the group's full value multiset), so results are
-bit-identical across executor counts, prune on/off, and storage formats.
+in producer-task order; SUM/AVG keep the exact sum of the finite values as
+one integer (``_ExactSum``) and round once at the end, which equals
+``math.fsum`` over the group's values; so results are bit-identical across
+executor counts, prune on/off, and storage formats.
 
 Timing uses a monotonic clock.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 import pickle
 import shutil
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +173,82 @@ def result_types(query: ResolvedQuery) -> tuple[ColumnType, ...]:
 # Partial state per group: one slot per AggSpec, None until a row lands.
 #   count_star      -> int
 #   count_distinct  -> list[np.ndarray], one sorted-unique array per batch
-#   sum / avg       -> list[np.ndarray] of non-NULL values
+#   sum / avg       -> _ExactSum of the non-NULL values
 #   min / max       -> scalar, None while every value seen is NULL or NaN
 # Every state but min / max merges by ``+``; finalize takes the distinct
-# count of the concatenation, or the exact (math.fsum) sum of the values.
+# count of the concatenation, or the exact sum rounded once.
+
+_SUM_SHIFT = 1126   # every finite float times 2**1126 is an integer
+_SUM_SCALE = 2**_SUM_SHIFT
+_SUM_CHUNK = 1 << 26  # a bin sum of this many half mantissas stays within 2**53
+
+
+@dataclass(slots=True)
+class _ExactSum:
+    """SUM / AVG state in O(1) space (Neal's superaccumulator, arXiv
+    1505.05571): the exact sum of the finite values times 2**1126 as one
+    int, the number of values, and the counts of NaN, +inf and -inf."""
+
+    acc: int = 0
+    count: int = 0
+    nan: int = 0
+    pinf: int = 0
+    ninf: int = 0
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_ExactSum":
+        state = cls(count=len(values))
+        finite = np.isfinite(values)
+        if not finite.all():
+            state.nan = int(np.count_nonzero(np.isnan(values)))
+            state.pinf = int(np.count_nonzero(values == math.inf))
+            state.ninf = int(np.count_nonzero(values == -math.inf))
+            values = values[finite]
+        for lo in range(0, len(values), _SUM_CHUNK):
+            state.acc += _exact_int(values[lo:lo + _SUM_CHUNK])
+        return state
+
+    def __add__(self, other: "_ExactSum") -> "_ExactSum":
+        return _ExactSum(self.acc + other.acc, self.count + other.count,
+                         self.nan + other.nan, self.pinf + other.pinf,
+                         self.ninf + other.ninf)
+
+    def value(self, avg: bool) -> float | None:
+        """The IEEE result: NaN when a NaN or both infinities are present,
+        else the infinity present; else the exact sum rounded once (+-inf
+        past the range). AVG is that sum over the count, or, for a sum past
+        the range, the exact sum over the count rounded once."""
+        if self.count == 0:
+            return None
+        if self.nan or (self.pinf and self.ninf):
+            return math.nan
+        if self.pinf or self.ninf:
+            return math.inf if self.pinf else -math.inf
+        try:
+            total = self.acc / _SUM_SCALE  # int true division rounds correctly
+        except OverflowError:
+            if avg:
+                return self.acc / (_SUM_SCALE * self.count)
+            return math.inf if self.acc > 0 else -math.inf
+        return total / self.count if avg else total
+
+
+def _exact_int(values: np.ndarray) -> int:
+    """Sum of finite ``values`` times 2**1126, exactly, for at most 2**26
+    values: each 53-bit integer mantissa is cut into a 27-bit and a 26-bit
+    half, and each half is summed per binary exponent by ``np.bincount``."""
+    if len(values) == 0:
+        return 0
+    frac, exp = np.frexp(values)
+    mant = (frac * 2.0**53).astype(np.int64)  # value = mant * 2**(exp - 53)
+    shift = exp + (_SUM_SHIFT - 53)            # >= 0: the least exponent is -1073
+    acc = 0
+    for half, low_bits in ((mant >> 26, 26), (mant & ((1 << 26) - 1), 0)):
+        sums = np.bincount(shift, weights=half)
+        nz = np.flatnonzero(sums)
+        for s, v in zip(nz.tolist(), sums[nz].astype(np.int64).tolist()):
+            acc += v << (s + low_bits)
+    return acc
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
@@ -203,7 +285,7 @@ def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
             budget_tracker.add(len(uniq))
             out[g] = [uniq]
         elif spec.kind in ("sum", "avg"):
-            out[g] = [d.astype(np.float64, copy=False)]
+            out[g] = _ExactSum.of(d.astype(np.float64, copy=False))
         else:  # min / max
             if d.dtype == np.float64:
                 d = d[~np.isnan(d)]
@@ -243,36 +325,8 @@ def _finalize_spec(spec: AggSpec, state):
     if spec.kind == "count_distinct":
         return len(_sorted_unique(np.concatenate(state)))
     if spec.kind in ("sum", "avg"):
-        count = sum(len(a) for a in state)
-        if count == 0:
-            return None
-        try:
-            # per-array tolist keeps the transient list one batch long
-            total = math.fsum(itertools.chain.from_iterable(a.tolist() for a in state))
-        except (ValueError, OverflowError):  # inf with -inf, or a partial sum past the range
-            return _special_sum(np.concatenate(state), spec.kind == "avg")
-        if spec.kind == "sum":
-            return total
-        return total / count
+        return state.value(spec.kind == "avg")
     return state.item() if isinstance(state, np.generic) else state
-
-
-_ULP_SCALE = 2**1074  # every finite float times this is an integer
-
-
-def _special_sum(values: np.ndarray, avg: bool) -> float:
-    """SUM / AVG where ``math.fsum`` raised. NaN, or both infinities, give
-    NaN and one infinity gives itself; otherwise the exact sum (over the
-    count, for AVG) is rounded once, and a SUM past the range is +-inf."""
-    special = values[~np.isfinite(values)]
-    if len(special):
-        # all equal only when every special value is the same infinity
-        return float(special[0]) if (special == special[0]).all() else math.nan
-    exact = sum(n * (_ULP_SCALE // d) for n, d in map(float.as_integer_ratio, values.tolist()))
-    try:
-        return exact / (_ULP_SCALE * (len(values) if avg else 1))
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
 
 
 class _BudgetTracker:
@@ -379,6 +433,53 @@ def _probe(build: _BuildSide, key_col) -> tuple[np.ndarray, np.ndarray] | None:
     return probe_rows, build_rows
 
 
+# the pool every query shares; made on first use through the module attribute
+# ``ThreadPoolExecutor``, so a subclass put there before then is the one used
+_WORKERS = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS,
+                                       thread_name_prefix="stripehouse-engine")
+        return _pool
+
+
+def _run_tasks(tasks: list, lanes: int) -> None:
+    """Run ``tasks``, at most ``lanes`` at once: the calling thread and
+    ``lanes - 1`` lanes on the shared pool each take the next task until
+    none is left. After the first failure no task is taken; the running
+    ones finish, then the failure is raised."""
+    it = iter(tasks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def lane():
+        while True:
+            with lock:
+                fn = None if errors else next(it, None)
+            if fn is None:
+                return
+            try:
+                fn()
+            except BaseException as e:
+                with lock:
+                    errors.append(e)
+                return
+
+    helpers = [_shared_pool().submit(lane) for _ in range(min(lanes, len(tasks)) - 1)]
+    lane()
+    for f in helpers:
+        f.cancel()  # a lane still queued would find nothing left to take
+    wait(helpers)
+    if errors:
+        raise errors[0]
+
+
 class Engine:
     """Executes physical plans; one query at a time per engine object."""
 
@@ -424,20 +525,15 @@ class Engine:
 
         spill_dir = self.data_root / "shuffle" / uuid.uuid4().hex
         state = _QueryState(plan, config, metrics, spill_dir)
-        pool = ThreadPoolExecutor(max_workers=config.slots)
+        lanes = min(config.slots, _WORKERS)
         try:
             for stage in plan.stages:
                 tasks = []
                 for op in stage:
                     tasks.extend(state.tasks_for(op))
-                if not tasks:
-                    continue
-                # propagate the first failure, keep the process alive
-                for _ in pool.map(lambda fn: fn(), tasks):
-                    pass
+                _run_tasks(tasks, lanes)
             rows = state.outputs[plan.stages[-1][0].op_id][0]  # the one AggFinal task
         finally:
-            pool.shutdown(wait=True)
             if spill_dir.exists():
                 shutil.rmtree(spill_dir, ignore_errors=True)
         result = ResultTable(
@@ -643,8 +739,14 @@ class _QueryState:
         merged: dict[int, list] = {}
         for batch in batches:
             idx_groups = self._bucketize(op, batch)
-            parts = [_spec_partial(spec, batch.cols, idx_groups, tracker)
-                     for spec in op.specs]
+            # SUM and AVG of one column, or a repeated aggregate, share one state
+            made: dict[tuple, dict] = {}
+            parts = []
+            for spec in op.specs:
+                key = ("sum" if spec.kind == "avg" else spec.kind, spec.input_pos)
+                if key not in made:
+                    made[key] = _spec_partial(spec, batch.cols, idx_groups, tracker)
+                parts.append(made[key])
             _merge_slots(op.specs, merged, {g: [p[g] for p in parts] for g in idx_groups})
         with self._lock:
             if len(merged) > self.metrics.peak_group_count:
@@ -817,7 +919,9 @@ def brute_force(query: ResolvedQuery, tables: dict[str, list[tuple]]) -> ResultT
 
 
 def _oracle_sum(vals: list[float], avg: bool) -> float:
-    """IEEE special values first, then the finite values summed exactly."""
+    """IEEE special values first, then the finite values summed exactly;
+    AVG is the rounded sum over the count, or, for a sum past the float
+    range, the exact sum over the count rounded once."""
     if any(math.isnan(v) for v in vals) or (math.inf in vals and -math.inf in vals):
         return math.nan
     for inf in (math.inf, -math.inf):
@@ -825,14 +929,14 @@ def _oracle_sum(vals: list[float], avg: bool) -> float:
             return inf
     try:
         total = math.fsum(vals)
-        return total / len(vals) if avg else total
     except OverflowError:
         from fractions import Fraction
 
         exact = sum(map(Fraction, vals), Fraction(0))
-    if avg:
-        return float(exact / len(vals))
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+        try:
+            total = float(exact)
+        except OverflowError:
+            if avg:
+                return float(exact / len(vals))
+            return math.inf if exact > 0 else -math.inf
+    return total / len(vals) if avg else total

@@ -164,13 +164,11 @@ def _entry_from_json(d: dict) -> TableEntry:
 
 
 def resolve_data_root(data_root: str | os.PathLike | None = None) -> Path:
-    """Data root from the explicit argument, STRIPEHOUSE_ROOT, or cwd."""
-    if data_root is not None:
-        return Path(data_root)
-    env = os.environ.get("STRIPEHOUSE_ROOT")
-    if env:
-        return Path(env)
-    return Path(".")
+    """Absolute data root from the explicit argument, STRIPEHOUSE_ROOT, or
+    cwd, so that catalog paths built from it do not depend on the cwd."""
+    if data_root is None:
+        data_root = os.environ.get("STRIPEHOUSE_ROOT") or "."
+    return Path(data_root).absolute()
 
 
 class Catalog:

@@ -121,8 +121,10 @@ def test_complex_cells_prune_on_stripe(bench_out):
 
 
 def test_perfbench_tracer_finds_every_wrapped_name(tmp_path):
-    # a renamed storage or engine name, or one the engine imports by name so that
-    # the wrapper is bypassed, must fail here, not only show as a zero in traced runs
+    # a renamed storage or engine name, one the engine imports by name so that
+    # the wrapper is bypassed, or a worker pool made without the tracer's pool
+    # class (task spans lose their parent), must fail here, not only show as a
+    # zero in traced runs
     csv_file = tmp_path / "t.csv"
     csv_file.write_text("a,b\n" + "".join(f"{i},s{i % 3}\n" for i in range(50)))
     roots = [str(tmp_path / fmt) for fmt in ("stripe", "rowtext")]
@@ -130,23 +132,35 @@ def test_perfbench_tracer_finds_every_wrapped_name(tmp_path):
         assert cli_main(["create", "--table", "t", "--columns", "a:int64,b:string",
                          "--format", fmt, "--root", root]) == 0
         assert cli_main(["ingest", "--table", "t", "--format", fmt, "--csv", str(csv_file),
-                         "--root", root]) == 0
+                         "--partitions", "4", "--stripe-size", "10", "--root", root]) == 0
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(repo / "perfbench"), str(repo / "src")]))
-    code = ("import sys, spans, workload\n"
+    code = ("import sys, time, spans, workload\n"
             "from stripehouse import engine, planner, schema, sql\n"
             "tracer = spans.Tracer()\n"
             "spans.install(tracer, classify=workload.classify)\n"
-            "config = planner.ExecConfig(executors=1, cores_per_executor=1)\n"
+            "scan = engine._QueryState._scan_task\n"
+            "# slower scan tasks, so that the pool's lanes take some of them\n"
+            "engine._QueryState._scan_task = lambda *a: (time.sleep(0.01), scan(*a))[1]\n"
             "for root in sys.argv[1:]:\n"
             "    cat = schema.Catalog(root)\n"
             "    query = sql.compile_text(\"SELECT SUM(a) FROM t WHERE b = 's1'\", cat)\n"
-            "    engine.Engine(root).execute(planner.plan(query, cat, config), config)\n"
-            "print(' '.join(sorted({s.name for s in tracer.spans})))\n")
+            "    for e in (1, 2):\n"
+            "        config = planner.ExecConfig(executors=e, cores_per_executor=1)\n"
+            "        engine.Engine(root).execute(planner.plan(query, cat, config), config)\n"
+            "execs = {s.id for s in tracer.spans if s.name == 'engine.execute'}\n"
+            "tasks = [s for s in tracer.spans if s.name in\n"
+            "         ('stripefile.read', 'rowtext.scan', 'columns.predicate')]\n"
+            "print(' '.join(sorted({s.name for s in tracer.spans})))\n"
+            "print(len(tasks), sum(s.parent not in execs for s in tasks))\n")
     done = subprocess.run([sys.executable, "-c", code, *roots], env=env, cwd=repo,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    names, counts = done.stdout.splitlines()
     expected = {"stripefile.read", "stripefile.footer_read", "rowtext.scan",
                 "columns.predicate", "columns.take", "planner.plan", "engine.execute"}
-    assert expected - set(done.stdout.split()) == set()
+    assert expected - set(names.split()) == set()
+    # task spans, also those run on the shared pool's threads, keep their query's span
+    n_tasks, orphans = map(int, counts.split())
+    assert n_tasks > 0 and orphans == 0

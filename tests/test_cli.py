@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import re
@@ -10,9 +9,7 @@ from pathlib import Path
 import pytest
 
 import stripehouse
-from stripehouse import cli
 from stripehouse.cli import main
-from stripehouse.planner import ExecConfig
 from stripehouse.service import Client
 
 
@@ -54,13 +51,16 @@ def test_cli_end_to_end(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "stages (4):" in text
     assert "  1: Join[broadcast build=encounter rows=400]" in text
-    # a budget below the 400 build rows shuffles both sides
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "ExecConfig", functools.partial(ExecConfig, executor_mem_rows=399))
-        assert main(["explain", "-e", complex_query, "--root", str(root)]) == 0
+    # a budget below the 400 build rows shuffles both sides; --mem-rows plans
+    # as `query --mem-rows` runs, in the E sweep too
+    assert main(["explain", "-e", complex_query, "--root", str(root),
+                 "--mem-rows", "399"]) == 0
     text = capsys.readouterr().out
     assert "stages (5):" in text
     assert "  2: Join[shuffle R=24 build=encounter rows=400]" in text
+    sweep = text.split("coord")[1].split("\n")[1:7]
+    assert [int(r.split()[0]) for r in sweep] == [1, 2, 4, 8, 16, 32]
+    assert all(float(r.split()[4]) > 0 for r in sweep)  # a shuffle term at every E
 
     assert main(["explain", "-e", "SELECT COUNT(*) FROM lab_procedure "
                  "WHERE lab_code = 'LC03'", "--root", str(root)]) == 0
@@ -204,3 +204,21 @@ def test_cli_invalid_utf8_is_malformed_record(tmp_path, capsys, sql):
     capsys.readouterr()
     assert main(["query", "-e", sql, "--root", str(root)]) == 1
     assert capsys.readouterr().err.startswith("error: MalformedRecord: invalid UTF-8")
+
+
+def test_cli_relative_root_readable_from_elsewhere(tmp_path, capsys, monkeypatch):
+    # catalog paths of a relative --root do not depend on the cwd at ingest
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("x\n1.5\n2.5\n4.0\n")
+    assert main(["create", "--table", "t", "--columns", "x:float64",
+                 "--format", "stripe", "--root", "rel/stripe"]) == 0
+    assert main(["ingest", "--table", "t", "--format", "stripe", "--partitions", "2",
+                 "--csv", str(csv_file), "--root", "rel/stripe"]) == 0
+    monkeypatch.chdir(tmp_path / "b")
+    capsys.readouterr()
+    assert main(["query", "-e", "SELECT COUNT(*), SUM(x) FROM t WHERE x > 0",
+                 "--root", str(tmp_path / "a" / "rel" / "stripe"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [[3, 8.0]]

@@ -1,14 +1,20 @@
 import math
+import os
 import random
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripehouse import engine as engine_mod
 from stripehouse.datagen import lab_schema
 from stripehouse.engine import (
     Engine,
+    _ExactSum,
     brute_force,
     execute,
     fnv1a64,
@@ -440,3 +446,206 @@ def test_randomized_queries_match_oracle(both_catalogs, seed_data):
                 assert run_join_shapes(cat, sql, executors=4, cores=3).rows == res.rows, sql
         checked += 1
     assert checked == 30
+
+
+# --- exact SUM / AVG state ---
+
+def test_exact_sum_equals_fsum():
+    # random batches merged in shuffled order; exponents +-300, cancellation,
+    # subnormals and signed zeros
+    rng = np.random.default_rng(11)
+    tiny = [5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310, 0.0, -0.0]
+    for trial in range(400):
+        n = int(rng.integers(1, 300))
+        x = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-300, 301, n))
+        if trial % 3 == 0:
+            x = np.concatenate([x, -x[: n // 2] * rng.choice([1.0, 1 + 2**-52], n // 2)])
+        if trial % 4 == 0:
+            x = np.concatenate([x, rng.choice(tiny, int(rng.integers(1, 20)))])
+        if trial % 10 == 0:
+            x = rng.choice(tiny, n)
+        rng.shuffle(x)
+        cuts = np.sort(rng.integers(0, len(x) + 1, int(rng.integers(0, 8))))
+        states = [_ExactSum.of(part) for part in np.split(x, cuts)]
+        rng.shuffle(states)
+        total = states[0]
+        for st in states[1:]:
+            total = total + st
+        exact = math.fsum(x.tolist())
+        assert repr(total.value(False)) == repr(exact)
+        assert repr(total.value(True)) == repr(exact / len(x))
+        assert total.count == len(x)
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+def test_randomized_float_sums_match_oracle(tmp_path, fmt):
+    # NULL, NaN, +-inf, -0.0 and subnormals over partitions and 1-row stripes
+    rng = random.Random(17)
+    special = ["nan", "inf", "-inf", "-0.0", "0.0", "5e-324", "-2.5e-310", "1e308", ""]
+    texts = []
+    for i in range(160):
+        if rng.random() < 0.12:
+            text = rng.choice(special)
+        else:
+            text = repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30))
+        texts.append((i % 5, text))
+    # groups 0 and 1 hold no NaN or infinity, so their sums are finite
+    texts = [(g, t) for g, t in texts if g > 1 or t not in ("nan", "inf", "-inf", "1e308")]
+    raw = {"t": [(g, None if t == "" else float(t)) for g, t in texts]}
+    null = '""'
+    cat = load_tables(tmp_path, fmt, {
+        "t": ([("g", ColumnType.INT64, False), ("x", ColumnType.FLOAT64, True)],
+              "g,x\n" + "".join(f"{g},{t or null}\n" for g, t in texts)),
+    }, partitions=3, stripe_size=1)
+    queries = [
+        "SELECT SUM(x), AVG(x), COUNT(*) FROM t",
+        "SELECT BUCKET(g, 0, 1, 2, 3, 4, 5) AS c, SUM(x), AVG(x) FROM t GROUP BY c",
+        "SELECT SUM(x), AVG(x) FROM t WHERE g < 2",
+        # repeated aggregates of one column share a partial state
+        "SELECT AVG(x), SUM(x), COUNT(DISTINCT x), SUM(x), COUNT(DISTINCT x), MIN(x) FROM t",
+    ]
+    for sql in queries:
+        oracle = brute_force(compile_text(sql, cat), raw)
+        for e, c in ((1, 1), (4, 3)):
+            res, _ = run(cat, sql, executors=e, cores=c)
+            assert repr(res.rows) == repr(oracle.rows), (sql, e, c)
+
+
+# --- the shared worker pool ---
+
+def _engine_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("stripehouse-engine")]
+
+
+def test_pool_threads_bounded_by_cores(both_catalogs, monkeypatch):
+    cat = both_catalogs[StorageFormat.STRIPE]
+    reference, _ = run(cat, COMPLEX, executors=1, cores=1)
+    lock = threading.Lock()
+    workers: set[int] = set()
+    running = [0, 0]  # now, most at once
+    scan = engine_mod._QueryState._scan_task
+
+    def counted_scan(self, op, task_idx):
+        with lock:
+            workers.add(threading.get_ident())
+            running[0] += 1
+            running[1] = max(running)
+        try:
+            time.sleep(0.005)
+            return scan(self, op, task_idx)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(engine_mod._QueryState, "_scan_task", counted_scan)
+    cores = os.cpu_count() or 1
+    for _ in range(3):  # 24 scan tasks without pruning
+        res, _ = run(cat, COMPLEX, executors=8, cores=3, prune=False)
+        assert res.rows == reference.rows
+    assert len(workers) <= cores
+    assert running[1] <= min(24, cores)
+    assert len(_engine_threads()) <= cores
+
+
+def test_serial_query_starts_no_pool_thread(both_catalogs, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 1x1 query made the worker pool")
+
+    monkeypatch.setattr(engine_mod, "_pool", None)
+    monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_pool)
+    before = set(_engine_threads())
+    for fmt, cat in both_catalogs.items():
+        res, _ = run(cat, COMPLEX, executors=1, cores=1)
+        assert res.rows == [(0, 683), (1, 705), (2, 889)], fmt
+    assert engine_mod._pool is None
+    assert set(_engine_threads()) <= before
+
+
+def test_two_engines_at_once(both_catalogs):
+    cat = both_catalogs[StorageFormat.STRIPE]
+    sqls = [COMPLEX, "SELECT SUM(result_value), AVG(result_value) FROM lab_procedure"]
+    expected = [run(cat, sql, executors=1, cores=1)[0].rows for sql in sqls]
+    start = threading.Barrier(2)
+    got: dict[int, list] = {}
+
+    def client(i):
+        eng = Engine(cat.data_root)
+        q = compile_text(sqls[i], cat)
+        cfg = ExecConfig(executors=8, cores_per_executor=3)
+        start.wait()
+        got[i] = [eng.execute(plan(q, cat, cfg), cfg)[0].rows for _ in range(5)]
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for i in range(2):
+        assert got[i] == [expected[i]] * 5, sqls[i]
+
+
+def test_run_tasks_runs_each_task_once_under_contention():
+    # more lanes than cores, from several callers at once, with frequent
+    # thread switches: every task runs exactly once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [[0] * 2000 for _ in range(4)]
+
+        def caller(c):
+            def task(i):
+                runs[c][i] += 1
+            engine_mod._run_tasks([lambda i=i: task(i) for i in range(2000)], 8)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == [1] * 2000 for r in runs)
+
+
+def test_failed_query_leaves_no_running_task(both_catalogs, monkeypatch):
+    # unpruned, only the first partial task's distinct set (the rows of LC00,
+    # all in the first stripe) passes the 1 000-row budget; it fails soon,
+    # while the other tasks take longer
+    cat = both_catalogs[StorageFormat.STRIPE]
+    sql = "SELECT COUNT(DISTINCT lab_id) FROM lab_procedure WHERE lab_code = 'LC00'"
+    reference, _ = run(cat, sql, executors=1, cores=1)
+    lock = threading.Lock()
+    running = [0]
+    ended: list[float] = []
+    partial = engine_mod._QueryState._agg_partial_task
+
+    def slow_partial(self, op, task_id):
+        with lock:
+            running[0] += 1
+        try:
+            time.sleep(0.05 if task_id else 0.01)
+            return partial(self, op, task_id)
+        finally:
+            with lock:
+                running[0] -= 1
+                ended.append(time.perf_counter())
+
+    monkeypatch.setattr(engine_mod._QueryState, "_agg_partial_task", slow_partial)
+    q = compile_text(sql, cat)
+    cfg = ExecConfig(executors=4, cores_per_executor=3, executor_mem_rows=1_000)
+    p = plan(q, cat, cfg, prune=False)
+    with pytest.raises(MemoryBudgetExceeded):
+        Engine(cat.data_root).execute(p, cfg)
+    raised = time.perf_counter()
+    assert running[0] == 0
+    assert ended and max(ended) <= raised
+    n_tasks = len(ended)
+    time.sleep(0.1)
+    assert len(ended) == n_tasks  # no task of the failed query started later
+    # the tasks not started when the first one failed were skipped
+    assert n_tasks <= min(cfg.slots, os.cpu_count() or 1) < len(p.stages[0][0].tasks)
+    res, _ = run(cat, sql, executors=4, cores=3, prune=False)
+    assert res.rows == reference.rows
+    assert reference.rows[0][0] > 1_000
