@@ -118,7 +118,8 @@ def cmd_ingest(args) -> int:
         builtin = _BUILTIN_SCHEMAS.get(args.table.lower())
         if builtin is None:
             raise
-        cat.create_table(builtin(), fmt)
+        entry = cat.create_table(builtin(), fmt)
+    before = len(entry.partitions)
     entry = ingest_csv(
         cat, args.table, args.csv,
         partitions=args.partitions,
@@ -128,6 +129,10 @@ def cmd_ingest(args) -> int:
     print(
         f"ingested {entry.row_count} rows into {entry.schema.table_name} "
         f"({len(entry.partitions)} partitions, {entry.format.value})"
+    )
+    print(
+        f"wrote {len(entry.partitions) - before} of --partitions {args.partitions} "
+        f"partitions; each holds whole batches of --stripe-size {args.stripe_size} rows"
     )
     return 0
 

@@ -512,7 +512,7 @@ class Engine:
             op = plan.stages[0][0]
             total = 0
             for path in op.paths:
-                footer = stripefile.read_footer(path)
+                footer = stripefile.cached_footer(path)
                 total += footer.row_count
                 metrics.bytes_read += footer.bytes_read
                 metrics.stripes_total += len(footer.stripes)

@@ -4,6 +4,8 @@ Accepts RFC-4180-style CSV (quoted fields, ``""`` escape) with a mandatory
 header whose names must match the target schema case-insensitively, in any
 order. Rows are distributed round-robin in batches of ``stripe_size``
 across ``partitions`` writers, so partition 0 gets batches 0, P, 2P, ...
+A CSV of fewer than ``partitions * stripe_size`` rows therefore fills
+fewer partitions than asked (``stripehouse ingest`` prints how many).
 
 An optional stable pre-sort on one column clusters values so stripe
 statistics become selective; without it uniformly distributed columns

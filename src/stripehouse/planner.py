@@ -18,8 +18,11 @@ Blanas et al., SIGMOD 2010). Otherwise both sides are hash-shuffled to
 R buckets and each bucket is joined on its own. Both shapes run the same
 sort-based join kernel in the engine.
 
-Stripe pruning is decided here, once: ``_scan_op`` reads each partition's
-footer once and keeps the stripes ``stripefile.prune_stripes`` keeps. A
+Stripe pruning is decided here, once: ``_scan_op`` takes each partition's
+footer from the process-wide footer cache (``stripefile.cached_footer``,
+which parses a footer again only when its file changed) and keeps the
+stripes ``stripefile.prune_stripes`` keeps. The plan carries those
+footers, so the engine reads stripes by the footer the plan pruned with. A
 scan has one task per kept stripe (STRIPE) or per partition file
 (ROWTEXT). Reducer count R = executors * cores.
 
@@ -213,7 +216,7 @@ def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
         for part in entry.partitions:
             footer = footers.get(part.path)
             if footer is None:
-                footer = footers[part.path] = stripefile.read_footer(part.path)
+                footer = footers[part.path] = stripefile.cached_footer(part.path)
             kept = stripefile.prune_stripes(footer, conjuncts if prune else ())
             stripes_total += len(kept)
             stripes_pruned += kept.count(False)

@@ -12,7 +12,9 @@ not exactly ``ALLOW`` or ``DENY`` is rejected.
 
 Each query request stats ``catalog.json`` once and re-reads it when its
 mtime or size changed, so partitions ingested while the server runs are
-visible to the next query.
+visible to the next query. Stripe footers come from
+``stripefile.cached_footer``, shared by every session, which parses a
+footer again whenever its file's stamp changed.
 
 A query request may set ``executors``, ``cores`` and ``mem_rows`` (plain
 JSON integers, at most ``MAX_SLOTS`` executor x core slots and

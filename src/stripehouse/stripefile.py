@@ -22,6 +22,17 @@ String bounds keep at most the first 32 UTF-8 bytes; a truncated upper
 bound never prunes. NaN is excluded from float bounds and flagged so the
 pruning rule leaves such columns alone.
 
+``read_footer`` is the one footer parser and validator. Queries get their
+footers through ``cached_footer``, a process-wide cache in front of it. An
+entry is served only while the file's stamp (device, inode, size, mtime,
+ctime) equals the stamp taken before it was parsed, so a rewrite, a
+replacement or a deletion is seen on the next call; errors are never
+cached. A file changed less than ``RACY_NS`` before the call is parsed and
+not cached, since a second write within the same timestamp tick could
+leave its stamp unchanged (git's "racily clean" rule). The cache holds at
+most ``FOOTER_CACHE_BYTES`` of footers (summed ``bytes_read``) and evicts
+the least recently used entry.
+
 ``prune_stripes`` is the one pruning rule. The planner calls it once per
 partition to choose the stripes the engine reads (with
 ``read_stripe_columns``); ``scan_stripes``, a ``columns.RowScan`` over
@@ -31,7 +42,11 @@ partition to choose the stripes the engine reads (with
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +66,8 @@ MAGIC = b"STRP"
 EXTENSION = ".stp"
 DEFAULT_STRIPE_SIZE = 10_000
 STR_BOUND_BYTES = 32
+FOOTER_CACHE_BYTES = 32 << 20
+RACY_NS = 50_000_000  # well above a coarse (one-jiffy) file timestamp tick
 
 
 @dataclass(frozen=True)
@@ -338,6 +355,44 @@ def read_footer(path) -> StripeFooter:
     )
 
 
+_footer_lock = threading.Lock()
+_footer_cache: OrderedDict = OrderedDict()  # path -> (stamp, StripeFooter)
+_footer_cache_bytes = 0
+
+
+def cached_footer(path) -> StripeFooter:
+    """``read_footer(path)``, served from the footer cache while the file
+    is unchanged; raises whatever ``read_footer`` raises."""
+    global _footer_cache_bytes
+    key = os.fspath(path)
+    # taken before the stat: a file last changed RACY_NS before this had
+    # every write of its stamp's tick done before it is read
+    now = time.time_ns()
+    try:
+        st = os.stat(key)
+    except OSError as e:
+        raise IoFailure(f"cannot read {key}: {e}") from e
+    stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    with _footer_lock:
+        hit = _footer_cache.get(key)
+        if hit is not None and hit[0] == stamp:
+            _footer_cache.move_to_end(key)
+            return hit[1]
+    result = read_footer(key)  # by module lookup, so a wrapper sees each parse
+    if now - max(st.st_mtime_ns, st.st_ctime_ns) < RACY_NS:
+        return result
+    with _footer_lock:
+        old = _footer_cache.pop(key, None)
+        if old is not None:
+            _footer_cache_bytes -= old[1].bytes_read
+        _footer_cache[key] = (stamp, result)
+        _footer_cache_bytes += result.bytes_read
+        while _footer_cache_bytes > FOOTER_CACHE_BYTES:
+            _, (_, evicted) = _footer_cache.popitem(last=False)
+            _footer_cache_bytes -= evicted.bytes_read
+    return result
+
+
 def read_stripe_columns(path, footer: StripeFooter, stripe_idx: int,
                         needed: list[int]) -> tuple[dict[int, C.Column], int]:
     """Read the requested column chunks of one stripe.
@@ -536,7 +591,7 @@ class _StripeScan:
         self.stats = C.ScanStats()
 
     def __iter__(self):
-        footer = read_footer(self._path)
+        footer = cached_footer(self._path)
         if len(footer.schema.columns) != len(self._schema.columns) or any(
             a.ctype != b.ctype for a, b in zip(footer.schema.columns, self._schema.columns)
         ):

@@ -1,7 +1,10 @@
 import csv
+import os
+from collections import OrderedDict
 
 import pytest
 
+from stripehouse import stripefile
 from stripehouse.datagen import GenSpec, encounter_schema, generate, lab_schema
 from stripehouse.ingest import ingest_csv
 from stripehouse.schema import Catalog, StorageFormat
@@ -60,3 +63,19 @@ def both_catalogs(seed_data, tmp_path_factory):
                    stripe_size=10_000)
         out[fmt] = cat
     return out
+
+
+@pytest.fixture()
+def footer_parses(monkeypatch):
+    """An empty footer cache, and the paths ``read_footer`` parsed since."""
+    monkeypatch.setattr(stripefile, "_footer_cache", OrderedDict())
+    monkeypatch.setattr(stripefile, "_footer_cache_bytes", 0)
+    calls = []
+    read = stripefile.read_footer
+
+    def counting(path):
+        calls.append(os.fspath(path))
+        return read(path)
+
+    monkeypatch.setattr(stripefile, "read_footer", counting)
+    return calls

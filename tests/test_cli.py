@@ -222,3 +222,26 @@ def test_cli_relative_root_readable_from_elsewhere(tmp_path, capsys, monkeypatch
     assert main(["query", "-e", "SELECT COUNT(*), SUM(x) FROM t WHERE x > 0",
                  "--root", str(tmp_path / "a" / "rel" / "stripe"), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"] == [[3, 8.0]]
+
+
+def test_cli_ingest_reports_partitions_written(tmp_path, capsys):
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("x\n" + "".join(f"{i}\n" for i in range(50)))
+    root = str(tmp_path / "db")
+    assert main(["create", "--table", "t", "--columns", "x:int64",
+                 "--format", "stripe", "--root", root]) == 0
+    capsys.readouterr()
+    # 50 rows make one batch of the default stripe size, so one partition
+    assert main(["ingest", "--table", "t", "--format", "stripe", "--partitions", "4",
+                 "--csv", str(csv_file), "--root", root]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "ingested 50 rows into t (1 partitions, stripe)",
+        "wrote 1 of --partitions 4 partitions; "
+        "each holds whole batches of --stripe-size 10000 rows",
+    ]
+    assert main(["ingest", "--table", "t", "--format", "stripe", "--partitions", "4",
+                 "--csv", str(csv_file), "--root", root, "--stripe-size", "10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ingested 100 rows into t (5 partitions, stripe)"
+    assert out[1].startswith("wrote 4 of --partitions 4 partitions;")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripehouse import engine as engine_mod
+from stripehouse import engine as engine_mod, stripefile
 from stripehouse.datagen import lab_schema
 from stripehouse.engine import (
     Engine,
@@ -319,6 +319,21 @@ def test_metadata_count_metrics(both_catalogs, seed_data):
     assert res.rows == [(len(seed_data["raw"]["lab_procedure"]),)]
     assert metrics.rows_read == 0
     assert metrics.bytes_read > 0
+
+
+def test_metadata_count_metrics_same_on_cache_hit(both_catalogs, footer_parses):
+    cat = both_catalogs[StorageFormat.STRIPE]
+    time.sleep(stripefile.RACY_NS / 1e9 + 0.02)  # the files are past the racy window
+    sql = "SELECT COUNT(*) FROM lab_procedure"
+    res1, miss = run(cat, sql)
+    assert len(footer_parses) == len(cat.get_table("lab_procedure").partitions)
+    res2, hit = run(cat, sql)
+    assert len(footer_parses) == len(cat.get_table("lab_procedure").partitions)
+    assert res1.rows == res2.rows
+    a, b = miss.to_dict(), hit.to_dict()
+    del a["response_time_s"], b["response_time_s"]
+    assert a == b
+    assert a["bytes_read"] > 0
 
 
 def test_rowtext_full_scan_metrics(both_catalogs, seed_data):

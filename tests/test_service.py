@@ -1,11 +1,14 @@
 import json
 import random
 import re
+import shutil
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stripehouse import stripefile
 from stripehouse.engine import Engine
 from stripehouse.ingest import ingest_csv
 from stripehouse.service import (
@@ -390,6 +393,47 @@ def test_ingest_while_serving_is_visible(tmp_path):
         ingest_csv(Catalog(root), "t", csv_file, partitions=2)
         assert c.query("SELECT COUNT(*) FROM t")["rows"] == [[2000]]
         assert c.query("SELECT SUM(a) FROM t")["rows"] == [[2 * sum(range(1000))]]
+        c.close()
+    finally:
+        srv.shutdown()
+
+
+def test_partition_rewritten_in_place_is_visible(tmp_path):
+    root = tmp_path / "db"
+    cat = Catalog(root)
+    schema = TableSchema.create("t", [("a", ColumnType.INT64, True)])
+    cat.create_table(schema, StorageFormat.STRIPE)
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("a\n" + "".join(f"{i}\n" for i in range(1000)))
+    entry = ingest_csv(cat, "t", csv_file, partitions=2, stripe_size=100)
+    part = entry.partitions[0].path
+    # another valid stripe file, to be copied over partition 0 at its path
+    stripefile.write_stripes([(10_000 + i,) for i in range(300)], schema,
+                             tmp_path / "new.stp", stripe_size=100)
+    (tmp_path / "users.json").write_text(json.dumps(
+        [{"user": "alice", "token": "s3cret", "role": "ADMIN"}]))
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"user": "alice", "table": "*", "effect": "ALLOW"}]))
+    srv = StripehouseServer(ServiceConfig(
+        data_root=root, port=0, users_file=tmp_path / "users.json",
+        rules_file=tmp_path / "rules.json", audit_file=tmp_path / "audit.log"))
+    srv.start()
+    pruned = "SELECT COUNT(*), SUM(a) FROM t WHERE a >= 10000"
+
+    def settle():  # past the racy window, so the footers are cached
+        time.sleep(stripefile.RACY_NS / 1e9 + 0.02)
+
+    try:
+        c = connect(srv)
+        c.hello("alice", "s3cret")
+        settle()
+        for _ in range(2):
+            assert c.query("SELECT COUNT(*) FROM t")["rows"] == [[1000]]
+            assert c.query(pruned)["rows"] == [[0, None]]
+        shutil.copyfile(tmp_path / "new.stp", part)  # same path, same inode
+        settle()
+        assert c.query("SELECT COUNT(*) FROM t")["rows"] == [[800]]
+        assert c.query(pruned)["rows"] == [[300, sum(range(10_000, 10_300))]]
         c.close()
     finally:
         srv.shutdown()

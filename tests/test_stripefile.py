@@ -1,14 +1,19 @@
 import math
 import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripehouse.errors import BadMagic, CorruptFooter, TypeMismatch
+from stripehouse import stripefile
+from stripehouse.errors import BadMagic, CorruptFooter, IoFailure, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
 from stripehouse.schema import ColumnType, TableSchema
 from stripehouse.stripefile import (
+    cached_footer,
     dump_footer,
     prune_stripes,
     read_footer,
@@ -322,3 +327,189 @@ def test_property_prune_soundness(tmp_path_factory, keys, op, lit, stripe_size):
     got = collect(scan_stripes(path, SCHEMA, predicate=pred, prune=True))
     expected = [r for r in rows if row_passes(pred, r)]
     assert rows_equal(got, expected)
+
+
+# --- footer cache ---
+
+def settle():
+    """Wait until files written so far are older than the racy window."""
+    time.sleep(stripefile.RACY_NS / 1e9 + 0.02)
+
+
+def write_const(path, value, n=100):
+    """A stripe file whose INT64 column holds ``value`` in every row."""
+    write_stripes([(value, "x", 1.0, 0)] * n, SCHEMA, path, stripe_size=50)
+
+
+def min_a(footer):
+    return footer.stripes[0].columns[0].min
+
+
+def test_footer_cache_hit_parses_nothing(tmp_path, footer_parses):
+    write_const(tmp_path / "p.stp", 1)
+    settle()
+    first = cached_footer(tmp_path / "p.stp")
+    assert cached_footer(str(tmp_path / "p.stp")) is first
+    assert len(footer_parses) == 1
+    assert first == read_footer(tmp_path / "p.stp")
+
+
+def test_footer_cache_same_size_rewrite_seen_by_ctime(tmp_path, footer_parses):
+    path = tmp_path / "p.stp"
+    write_const(path, 1)
+    write_const(tmp_path / "q.stp", 2)
+    settle()
+    assert min_a(cached_footer(path)) == 1
+    before = os.stat(path)
+    # rewrite in place, same size, old mtime restored: only ctime differs
+    with open(path, "r+b") as f:
+        f.write((tmp_path / "q.stp").read_bytes())
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    settle()
+    assert min_a(cached_footer(path)) == 2
+    assert len(footer_parses) == 2
+
+
+def test_footer_cache_size_change_and_replace_seen(tmp_path, footer_parses):
+    path = tmp_path / "p.stp"
+    write_const(path, 1)
+    settle()
+    assert min_a(cached_footer(path)) == 1
+    write_const(path, 3, n=150)  # same inode, another size
+    settle()
+    assert cached_footer(path).row_count == 150
+    write_const(tmp_path / "other.stp", 4)
+    settle()
+    os.replace(tmp_path / "other.stp", path)  # another inode
+    assert min_a(cached_footer(path)) == 4
+    assert len(footer_parses) == 3
+
+
+def test_footer_cache_deleted_file_raises(tmp_path, footer_parses):
+    path = tmp_path / "p.stp"
+    write_const(path, 1)
+    settle()
+    cached_footer(path)
+    path.unlink()
+    for _ in range(2):
+        with pytest.raises(IoFailure):
+            cached_footer(path)
+
+
+def test_footer_cache_never_caches_errors(tmp_path, footer_parses):
+    path = tmp_path / "p.stp"
+    write_const(path, 1)
+    good = path.read_bytes()
+    settle()
+    cached_footer(path)
+    path.write_bytes(good[:-7])  # truncated
+    settle()
+    for _ in range(3):
+        with pytest.raises(BadMagic):
+            cached_footer(path)
+    footer_len = int.from_bytes(good[-8:-4], "little")
+    blob = good[-8 - footer_len:-8].replace(b'"rows":100', b'"rows":99', 1)
+    assert len(blob) == footer_len - 1
+    path.write_bytes(good[:-8 - footer_len] + blob + len(blob).to_bytes(4, "little") + b"STRP")
+    settle()
+    for _ in range(3):
+        with pytest.raises(CorruptFooter):
+            cached_footer(path)
+    assert len(footer_parses) == 7
+    path.write_bytes(good)
+    settle()
+    assert min_a(cached_footer(path)) == 1
+    assert len(footer_parses) == 8
+
+
+def test_footer_cache_skips_racy_files(tmp_path, footer_parses, monkeypatch):
+    # a file changed within the racy window may change again unseen, so it
+    # is parsed on every call until it is older
+    monkeypatch.setattr(stripefile, "RACY_NS", 3600 * 10**9)
+    write_const(tmp_path / "p.stp", 1)
+    cached_footer(tmp_path / "p.stp")
+    cached_footer(tmp_path / "p.stp")
+    assert len(footer_parses) == 2
+
+
+def test_footer_cache_evicts_least_recently_used(tmp_path, footer_parses, monkeypatch):
+    paths = [tmp_path / f"{name}.stp" for name in "abc"]
+    for p in paths:
+        write_const(p, 1)
+    size = read_footer(paths[0]).bytes_read
+    monkeypatch.setattr(stripefile, "FOOTER_CACHE_BYTES", 2 * size)
+    settle()
+    a, b, c = paths
+    cached_footer(a)
+    cached_footer(b)
+    cached_footer(a)  # b is now the least recently used
+    cached_footer(c)
+    assert footer_parses == [str(a), str(b), str(c)]
+    cached_footer(a)
+    cached_footer(c)
+    assert len(footer_parses) == 3
+    cached_footer(b)
+    assert footer_parses[3:] == [str(b)]
+    assert stripefile._footer_cache_bytes == 2 * size
+    assert list(stripefile._footer_cache) == [str(c), str(b)]
+
+
+def test_footer_cache_cold_threads_agree(tmp_path, footer_parses):
+    paths = [tmp_path / f"p{i}.stp" for i in range(4)]
+    for i, p in enumerate(paths):
+        write_const(p, i)
+    settle()
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def worker(k):
+        start.wait()
+        got[k] = [cached_footer(p) for p in paths]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert got[0] == got[1] == [read_footer(p) for p in paths]
+    assert [min_a(f) for f in got[0]] == [0, 1, 2, 3]
+    assert stripefile._footer_cache_bytes == sum(f.bytes_read for f in got[0])
+
+
+def test_footer_cache_consistent_under_contention(tmp_path, footer_parses, monkeypatch):
+    # 8 threads over 6 files and room for 3 footers: every call evicts or
+    # hits, and a lost update would leave the byte count off its entries
+    paths = [tmp_path / f"p{i}.stp" for i in range(6)]
+    for i, p in enumerate(paths):
+        write_const(p, i)
+    expected = [read_footer(p) for p in paths]
+    monkeypatch.setattr(stripefile, "FOOTER_CACHE_BYTES", 3 * expected[0].bytes_read)
+    settle()
+    wrong = []
+
+    def worker(k):
+        rng = random.Random(k)
+        for _ in range(3000):
+            i = rng.randrange(len(paths))
+            if cached_footer(paths[i]) != expected[i]:
+                wrong.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    entries = list(stripefile._footer_cache.values())
+    assert len(entries) == 3
+    assert stripefile._footer_cache_bytes == sum(f.bytes_read for _, f in entries)
