@@ -162,36 +162,26 @@ def run_bench(bench: BenchPlan, out_dir, data_dir=None,
     manifest: dict = {"seed": bench.seed, "sizes": {}, "queries": {
         "simple": SIMPLE_QUERY, "complex": COMPLEX_QUERY}}
 
+    def record_csvs(size):
+        gen_dir = data_dir / f"n{size}" / "gen"
+        manifest["sizes"][str(size)] = {
+            "encounter_sha256": file_sha256(gen_dir / "encounter.csv"),
+            "lab_sha256": file_sha256(gen_dir / "lab_procedure.csv"),
+        }
+
     ladder_sizes = bench.sizes if ({"simple", "complex"} & set(scenarios)) else ()
     sweep_size = bench.sizes[-1] if "executors" in scenarios else None
 
     cfg = ExecConfig(executors=bench.bench_executors, cores_per_executor=bench.cores)
     for size in ladder_sizes:
         catalogs = prepare_size(data_dir, size, bench)
-        gen_dir = data_dir / f"n{size}" / "gen"
-        manifest["sizes"][str(size)] = {
-            "encounter_sha256": file_sha256(gen_dir / "encounter.csv"),
-            "lab_sha256": file_sha256(gen_dir / "lab_procedure.csv"),
-        }
+        record_csvs(size)
         for scenario, sql in (("simple", SIMPLE_QUERY), ("complex", COMPLEX_QUERY)):
             if scenario not in scenarios:
                 continue
             for fmt in bench.formats:
-                cat = catalogs[fmt]
-                med, metrics, _ = run_cell(cat, sql, cfg, bench.repeats)
-                query = compile_text(sql, cat)
-                p = plan(query, cat, cfg)
-                rows.append(BenchRow(
-                    scenario=scenario,
-                    format=fmt.value,
-                    n_rows=size,
-                    executors=cfg.executors,
-                    median_response_s=med,
-                    rows_read=metrics.rows_read,
-                    bytes_read=metrics.bytes_read,
-                    stripes_pruned=metrics.stripes_pruned,
-                    cost_estimate=estimate_cost(p, cfg).total,
-                ))
+                rows.append(_bench_row(scenario, fmt, size, catalogs[fmt], sql, cfg,
+                                       bench.repeats))
         if cleanup and size != sweep_size:
             shutil.rmtree(data_dir / f"n{size}", ignore_errors=True)
         _flush(out_dir, rows, manifest)
@@ -203,28 +193,14 @@ def run_bench(bench: BenchPlan, out_dir, data_dir=None,
         else:
             cat = prepare_size(data_dir, sweep_size, bench,
                                formats=(StorageFormat.STRIPE,))[StorageFormat.STRIPE]
-            gen_dir = data_dir / f"n{sweep_size}" / "gen"
-            manifest["sizes"].setdefault(str(sweep_size), {
-                "encounter_sha256": file_sha256(gen_dir / "encounter.csv"),
-                "lab_sha256": file_sha256(gen_dir / "lab_procedure.csv"),
-            })
+            if str(sweep_size) not in manifest["sizes"]:
+                record_csvs(sweep_size)
         for label, sql in (("executors_simple", SIMPLE_QUERY),
                            ("executors_complex", COMPLEX_QUERY)):
             for e in bench.executors:
                 ecfg = ExecConfig(executors=e, cores_per_executor=bench.cores)
-                med, metrics, _ = run_cell(cat, sql, ecfg, bench.repeats)
-                p = plan(compile_text(sql, cat), cat, ecfg)
-                rows.append(BenchRow(
-                    scenario=label,
-                    format=StorageFormat.STRIPE.value,
-                    n_rows=sweep_size,
-                    executors=e,
-                    median_response_s=med,
-                    rows_read=metrics.rows_read,
-                    bytes_read=metrics.bytes_read,
-                    stripes_pruned=metrics.stripes_pruned,
-                    cost_estimate=estimate_cost(p, ecfg).total,
-                ))
+                rows.append(_bench_row(label, StorageFormat.STRIPE, sweep_size, cat, sql,
+                                       ecfg, bench.repeats))
                 _flush(out_dir, rows, manifest)
         if cleanup:
             shutil.rmtree(data_dir / f"n{sweep_size}", ignore_errors=True)
@@ -232,6 +208,24 @@ def run_bench(bench: BenchPlan, out_dir, data_dir=None,
     _flush(out_dir, rows, manifest)
     _write_charts(out_dir, rows)
     return rows
+
+
+def _bench_row(scenario: str, fmt: StorageFormat, n_rows: int, catalog: Catalog,
+               sql: str, config: ExecConfig, repeats: int) -> BenchRow:
+    """One cell: ``sql`` timed by ``run_cell``, with its plan's cost estimate."""
+    med, metrics, _ = run_cell(catalog, sql, config, repeats)
+    p = plan(compile_text(sql, catalog), catalog, config)
+    return BenchRow(
+        scenario=scenario,
+        format=fmt.value,
+        n_rows=n_rows,
+        executors=config.executors,
+        median_response_s=med,
+        rows_read=metrics.rows_read,
+        bytes_read=metrics.bytes_read,
+        stripes_pruned=metrics.stripes_pruned,
+        cost_estimate=estimate_cost(p, config).total,
+    )
 
 
 def _flush(out_dir: Path, rows: list[BenchRow], manifest: dict) -> None:
@@ -327,38 +321,26 @@ def line_chart_svg(title: str, xlabel: str, ylabel: str,
     return "\n".join(parts)
 
 
-def _write_charts(out_dir: Path, rows: list[BenchRow]) -> None:
-    def pick(scen):
-        return [r for r in rows if r.scenario == scen]
+# per chart: file, title, x label, the x field, and (name, scenario, format) per series
+_CHARTS = (
+    ("scenario1.svg", "Simple query response time by table format", "Number of records",
+     "n_rows", (("rowtext", "simple", "rowtext"), ("stripe", "simple", "stripe"))),
+    ("scenario2.svg", "Complex query response time by table format", "Number of records",
+     "n_rows", (("rowtext", "complex", "rowtext"), ("stripe", "complex", "stripe"))),
+    ("scenario3.svg", "Response time vs executor count (stripe format)", "Number of executors",
+     "executors", (("simple query", "executors_simple", "stripe"),
+                   ("complex query", "executors_complex", "stripe"))),
+)
 
-    s1 = pick("simple")
-    if s1:
+
+def _write_charts(out_dir: Path, rows: list[BenchRow]) -> None:
+    for name, title, xlabel, x, wanted in _CHARTS:
         series = []
-        for fmt in ("rowtext", "stripe"):
-            pts = [(r.n_rows, r.median_response_s) for r in s1 if r.format == fmt]
+        for label, scenario, fmt in wanted:
+            pts = [(getattr(r, x), r.median_response_s) for r in rows
+                   if r.scenario == scenario and r.format == fmt]
             if pts:
-                series.append((fmt, pts))
-        (out_dir / "scenario1.svg").write_text(line_chart_svg(
-            "Simple query response time by table format",
-            "Number of records", "Response time (s)", series), encoding="utf-8")
-    s2 = pick("complex")
-    if s2:
-        series = []
-        for fmt in ("rowtext", "stripe"):
-            pts = [(r.n_rows, r.median_response_s) for r in s2 if r.format == fmt]
-            if pts:
-                series.append((fmt, pts))
-        (out_dir / "scenario2.svg").write_text(line_chart_svg(
-            "Complex query response time by table format",
-            "Number of records", "Response time (s)", series), encoding="utf-8")
-    s3 = [r for r in rows if r.scenario.startswith("executors_")]
-    if s3:
-        series = []
-        for label, name in (("executors_simple", "simple query"),
-                            ("executors_complex", "complex query")):
-            pts = [(r.executors, r.median_response_s) for r in s3 if r.scenario == label]
-            if pts:
-                series.append((name, pts))
-        (out_dir / "scenario3.svg").write_text(line_chart_svg(
-            "Response time vs executor count (stripe format)",
-            "Number of executors", "Response time (s)", series), encoding="utf-8")
+                series.append((label, pts))
+        if series:
+            (out_dir / name).write_text(line_chart_svg(
+                title, xlabel, "Response time (s)", series), encoding="utf-8")

@@ -4,8 +4,11 @@ A scan produces one column object per projected schema column:
 
 * numeric columns (INT64/DATE/FLOAT64) hold a numpy array with NULL slots
   zero-filled plus a validity mask,
-* string columns hold either decoded Python strings or, on the stripe fast
-  path, the raw length/byte buffers decoded only when values are needed.
+* string columns (``StrColumn``) hold Apache Arrow's variable-size binary
+  layout, which is also the stripe chunk's: int64 offsets, one compact
+  buffer of UTF-8 bytes and a validity mask; NULL rows are empty. Both
+  formats build it from the bytes they read, and per-row Python values
+  exist only in its ``data`` and ``strings()``.
 
 NULL never satisfies a comparison; float comparisons are IEEE-754, so NaN
 satisfies only ``!=``.
@@ -17,9 +20,11 @@ satisfies only ``!=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TypeMismatch
 from .schema import ColumnType
@@ -37,56 +42,87 @@ class NumColumn:
 
 @dataclass
 class StrColumn:
-    data: np.ndarray  # object array of str, NULL slots hold None
+    """Row r is the UTF-8 bytes ``buf[offsets[r]:offsets[r + 1]]``;
+    ``offsets[0] == 0``, ``offsets[-1] == len(buf)`` and NULL rows are empty."""
+
+    offsets: np.ndarray  # int64, one more than the rows
+    buf: np.ndarray  # uint8
     valid: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.offsets) - 1
 
-
-class LazyStrColumn:
-    """String column backed by raw stripe bytes; decoded on demand."""
-
-    __slots__ = ("lengths", "offsets", "buf", "valid")
-
-    def __init__(self, lengths: np.ndarray, buf: bytes, valid: np.ndarray | None):
-        self.lengths = lengths.astype(np.int64, copy=False)
-        self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
-        self.buf = buf
-        self.valid = valid
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def eq_mask(self, lit: str) -> np.ndarray:
-        """Vectorized equality against a literal without decoding."""
-        raw = lit.encode("utf-8")
-        n = len(raw)
-        mask = self.lengths == n
-        if self.valid is not None:
-            mask &= self.valid
-        if n == 0 or not mask.any():
-            return mask
-        arr = np.frombuffer(self.buf, dtype=np.uint8)
-        starts = self.offsets[:-1][mask]
-        windows = arr[starts[:, None] + np.arange(n)]
-        hits = (windows == np.frombuffer(raw, dtype=np.uint8)).all(axis=1)
-        out = np.zeros(len(self.lengths), dtype=bool)
-        out[np.flatnonzero(mask)[hits]] = True
+    @cached_property
+    def data(self) -> np.ndarray:
+        """Each row's bytes as an object array, NULL as ``b""``; bytes order
+        as their code points, so join keys and distinct sets use them."""
+        raw = self.buf.tobytes()
+        o = self.offsets.tolist()
+        out = np.empty(len(self), dtype=object)
+        out[:] = [raw[a:b] for a, b in zip(o, o[1:])]
         return out
 
-    def decode(self) -> StrColumn:
-        offs = self.offsets
-        buf = self.buf
-        out = np.empty(len(self.lengths), dtype=object)
-        for i in range(len(self.lengths)):
-            out[i] = buf[offs[i]:offs[i + 1]].decode("utf-8")
-        if self.valid is not None:
-            out[~self.valid] = None
-        return StrColumn(out, self.valid)
+    def strings(self) -> list[str]:
+        """Each row as ``str``, NULL as ``""``, from one decode of ``buf``."""
+        text = self.buf.tobytes().decode("utf-8")
+        o = self.offsets
+        if len(text) < len(self.buf):
+            # a str offset is the byte offset less the UTF-8 continuation bytes before it
+            cont = np.concatenate(([0], np.cumsum((self.buf & 0xC0) == 0x80)))
+            o = o - cont[o]
+        o = o.tolist()
+        return [text[a:b] for a, b in zip(o, o[1:])]
+
+    def eq_mask(self, lit: str) -> np.ndarray:
+        """Rows whose bytes equal ``lit``'s, NULL rows included when it is empty."""
+        raw = np.frombuffer(lit.encode("utf-8"), dtype=np.uint8)
+        mask = np.diff(self.offsets) == len(raw)
+        if len(raw) and mask.any():
+            rows = np.flatnonzero(mask)
+            windows = self.buf[self.offsets[rows][:, None] + np.arange(len(raw))]
+            mask[rows] = (windows == raw).all(axis=1)
+        return mask
 
 
-Column = NumColumn | StrColumn | LazyStrColumn
+Column = NumColumn | StrColumn
+
+
+def str_offsets(lengths) -> np.ndarray:
+    """Offsets of rows of the given byte lengths, laid end to end."""
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def gather_strings(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   valid: np.ndarray | None) -> StrColumn:
+    """The rows ``a[starts[r]:starts[r] + lengths[r]]`` as one compact column."""
+    offsets = str_offsets(lengths)
+    src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+    return StrColumn(offsets, a[src], valid)
+
+
+def padded(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """``(rows, width)`` uint8 array: row r holds ``a[starts[r]:][:lengths[r]]``,
+    cut or zero-padded to ``width`` (at least 1)."""
+    g = sliding_window_view(np.concatenate((a, np.zeros(width, np.uint8))), width)[starts]
+    g[np.arange(width) >= lengths[:, None]] = 0
+    return g
+
+
+def sort_key(col: StrColumn, width: int | None = None) -> np.ndarray:
+    """One fixed-width ``S`` key per row that orders rows as their bytes, so
+    as their code points: the bytes zero-padded to the longest row, then the
+    length big-endian, so that ``"a" < "a\\0"``. With ``width`` only the
+    first ``width`` bytes count, and longer rows that share them order by
+    length."""
+    lengths = np.diff(col.offsets)
+    longest = int(lengths.max(initial=0))
+    w = max(longest if width is None else min(width, longest), 1)
+    key = np.empty((len(col), w + 8), dtype=np.uint8)
+    key[:, :w] = padded(col.buf, col.offsets[:-1], lengths, w)
+    key[:, w:] = lengths.astype(">i8").view(np.uint8).reshape(-1, 8)
+    return key.view(f"S{w + 8}").ravel()
 
 
 @dataclass
@@ -97,41 +133,22 @@ class ScanStats:
     stripes_pruned: int = 0
 
 
+_OPS = {"=": np.equal, "!=": np.not_equal, "<": np.less, "<=": np.less_equal,
+        ">": np.greater, ">=": np.greater_equal}
+
+
 def conjunct_mask(col: Column, op: str, value) -> np.ndarray:
     """Boolean mask of rows whose (non-NULL) value satisfies ``op value``."""
-    if isinstance(col, (StrColumn, LazyStrColumn)):
-        if op == "=":
-            if isinstance(col, LazyStrColumn):
-                return col.eq_mask(value)
-            mask = col.data == value
-        elif op == "!=":
-            if isinstance(col, LazyStrColumn):
-                mask = ~col.eq_mask(value)
-                if col.valid is not None:
-                    mask &= col.valid
-                return mask
-            mask = col.data != value
-        else:
+    if isinstance(col, StrColumn):
+        if op not in ("=", "!="):
             raise ValueError(f"operator {op} not supported on STRING")
-        if col.valid is not None:
-            mask &= col.valid
-        return np.asarray(mask, dtype=bool)
-
-    d = col.data
-    if op == "=":
-        mask = d == value
-    elif op == "!=":
-        mask = d != value
-    elif op == "<":
-        mask = d < value
-    elif op == "<=":
-        mask = d <= value
-    elif op == ">":
-        mask = d > value
+        mask = col.eq_mask(value)
+        if op == "!=":
+            mask = ~mask
     else:
-        mask = d >= value
+        mask = _OPS[op](col.data, value)
     if col.valid is not None:
-        mask = mask & col.valid
+        mask &= col.valid
     return mask
 
 
@@ -145,11 +162,11 @@ def predicate_mask(columns: dict[int, Column], conjuncts) -> np.ndarray | None:
 
 
 def take(col: Column, idx: np.ndarray) -> Column:
-    if isinstance(col, LazyStrColumn):
-        col = col.decode()
+    valid = None if col.valid is None else col.valid[idx]
     if isinstance(col, StrColumn):
-        return StrColumn(col.data[idx], None if col.valid is None else col.valid[idx])
-    return NumColumn(col.data[idx], None if col.valid is None else col.valid[idx])
+        starts = col.offsets[idx]
+        return gather_strings(col.buf, starts, col.offsets[idx + 1] - starts, valid)
+    return NumColumn(col.data[idx], valid)
 
 
 def filter_project(cols: dict[int, Column], conjuncts, projection,
@@ -194,9 +211,8 @@ class RowScan:
                 yield list(zip(*values)) if values else [()] * n
 
 
-def concat(cols: list[Column]) -> NumColumn | StrColumn:
-    """One decoded column holding the rows of ``cols`` in order."""
-    cols = [c.decode() if isinstance(c, LazyStrColumn) else c for c in cols]
+def concat(cols: list[Column]) -> Column:
+    """One column holding the rows of ``cols`` in order."""
     if len(cols) == 1:
         return cols[0]
     if any(c.valid is not None for c in cols):
@@ -206,33 +222,32 @@ def concat(cols: list[Column]) -> NumColumn | StrColumn:
         ])
     else:
         valid = None
-    return type(cols[0])(np.concatenate([c.data for c in cols]), valid)
+    if isinstance(cols[0], StrColumn):
+        bases = np.cumsum([0] + [len(c.buf) for c in cols[:-1]])
+        offsets = np.concatenate([cols[0].offsets[:1]]
+                                 + [c.offsets[1:] + b for c, b in zip(cols, bases)])
+        return StrColumn(offsets, np.concatenate([c.buf for c in cols]), valid)
+    return NumColumn(np.concatenate([c.data for c in cols]), valid)
+
+
+def strings_column(texts: list[str], valid: np.ndarray | None) -> StrColumn:
+    """``texts`` (NULL rows as ``""``) encoded to UTF-8 as one column."""
+    joined = "".join(texts)
+    buf = joined.encode("utf-8")
+    # all ASCII: each row has as many bytes as characters
+    rows = texts if len(buf) == len(joined) else map(str.encode, texts)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(texts))
+    return StrColumn(str_offsets(lengths), np.frombuffer(buf, dtype=np.uint8), valid)
 
 
 def column_from_values(values, ctype: ColumnType) -> Column:
     """Build a column from a sequence of Python values (None = NULL)."""
-    n = len(values)
+    valid = np.fromiter((v is not None for v in values), dtype=bool, count=len(values))
+    valid = None if valid.all() else valid
     if ctype is ColumnType.STRING:
-        data = np.empty(n, dtype=object)
-        valid = np.ones(n, dtype=bool)
-        for i, v in enumerate(values):
-            if v is None:
-                valid[i] = False
-                data[i] = None
-            else:
-                data[i] = v
-        return StrColumn(data, valid if not valid.all() else None)
+        return strings_column(["" if v is None else v for v in values], valid)
     dtype = np.float64 if ctype is ColumnType.FLOAT64 else np.int64
-    data = np.zeros(n, dtype=dtype)
-    valid = np.ones(n, dtype=bool)
-    any_null = False
-    for i, v in enumerate(values):
-        if v is None:
-            valid[i] = False
-            any_null = True
-        else:
-            data[i] = v
-    return NumColumn(data, valid if any_null else None)
+    return NumColumn(np.array([0 if v is None else v for v in values], dtype=dtype), valid)
 
 
 def write_rows(writer, rows, batch_rows: int, *, partition_id: int,
@@ -265,11 +280,9 @@ def write_rows(writer, rows, batch_rows: int, *, partition_id: int,
 
 def column_to_values(col: Column, ctype: ColumnType) -> list:
     """Back to Python values with None for NULL slots."""
-    if isinstance(col, LazyStrColumn):
-        col = col.decode()
     if isinstance(col, StrColumn):
-        return list(col.data)
-    if ctype is ColumnType.FLOAT64:
+        out = col.strings()
+    elif ctype is ColumnType.FLOAT64:
         out = [float(x) for x in col.data]
     else:
         out = [int(x) for x in col.data]

@@ -172,7 +172,8 @@ def result_types(query: ResolvedQuery) -> tuple[ColumnType, ...]:
 # --- aggregation state ---
 # Partial state per group: one slot per AggSpec, None until a row lands.
 #   count_star      -> int
-#   count_distinct  -> list[np.ndarray], one sorted-unique array per batch
+#   count_distinct  -> list[np.ndarray], one sorted-unique array per batch,
+#                      folded into one when a task passes its row budget
 #   sum / avg       -> _ExactSum of the non-NULL values
 #   min / max       -> scalar, None while every value seen is NULL or NaN
 # Every state but min / max merges by ``+``; finalize takes the distinct
@@ -263,7 +264,7 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], new))]
 
 
-def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
+def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups):
     """Given per-group row index arrays, make per-group partial slots."""
     out = {}
     if spec.kind == "count_star":
@@ -271,9 +272,6 @@ def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
             out[g] = len(idx)
         return out
     col = batch_cols[spec.input_pos]
-    if isinstance(col, C.LazyStrColumn):
-        col = col.decode()
-        batch_cols[spec.input_pos] = col
     data, valid = col.data, col.valid
     for g, idx in idx_groups.items():
         d = data[idx]
@@ -281,9 +279,7 @@ def _spec_partial(spec: AggSpec, batch_cols: list, idx_groups, budget_tracker):
         if v is not None:
             d = d[v]
         if spec.kind == "count_distinct":
-            uniq = _sorted_unique(d)
-            budget_tracker.add(len(uniq))
-            out[g] = [uniq]
+            out[g] = [_sorted_unique(d)]
         elif spec.kind in ("sum", "avg"):
             out[g] = _ExactSum.of(d.astype(np.float64, copy=False))
         else:  # min / max
@@ -329,19 +325,18 @@ def _finalize_spec(spec: AggSpec, state):
     return state.item() if isinstance(state, np.generic) else state
 
 
-class _BudgetTracker:
-    """Per-task distinct-set budget; raises past the configured row budget."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.used = 0
-
-    def add(self, n: int) -> None:
-        self.used += n
-        if self.used > self.budget:
-            raise MemoryBudgetExceeded(
-                f"distinct set of {self.used} rows exceeds budget {self.budget}"
-            )
+def _compact_distinct(specs, merged: dict[int, list]) -> int:
+    """Fold each group's distinct arrays into one; the values the task then
+    holds, counting a state that several specs share once."""
+    distinct = [si for si, spec in enumerate(specs) if spec.kind == "count_distinct"]
+    charged = {specs[si].input_pos: si for si in distinct}.values()
+    held = 0
+    for slots in merged.values():
+        for si in distinct:
+            if len(slots[si]) > 1:
+                slots[si] = [_sorted_unique(np.concatenate(slots[si]))]
+        held += sum(len(slots[si][0]) for si in charged)
+    return held
 
 
 def _group_indices(gid: np.ndarray, in_range: np.ndarray | None) -> dict[int, np.ndarray]:
@@ -407,8 +402,9 @@ def _prepare_build(key_col, cols: list) -> _BuildSide:
 
 def _probe(build: _BuildSide, key_col) -> tuple[np.ndarray, np.ndarray] | None:
     """``(probe rows, build rows)`` of every matching pair, in probe order,
-    then build order within equal keys; None when nothing matches. Str keys
-    compare as Python objects, float keys as IEEE values (-0.0 = 0.0)."""
+    then build order within equal keys; None when nothing matches. String
+    keys compare as their UTF-8 ``bytes`` (``StrColumn.data``), float keys
+    as IEEE values (-0.0 = 0.0)."""
     keys = key_col.data
     rows = _key_rows(key_col)
     if rows is not None:
@@ -633,18 +629,10 @@ class _QueryState:
         rows_moved = 0
         for batch in batches:
             key_col = batch.cols[op.key_pos]
-            if isinstance(key_col, C.LazyStrColumn):
-                key_col = key_col.decode()
-                batch.cols[op.key_pos] = key_col
             if isinstance(key_col, C.StrColumn):
-                h = np.fromiter(
-                    (
-                        fnv1a64(v.encode("utf-8")) if v is not None else 0
-                        for v in key_col.data
-                    ),
-                    dtype=np.uint64,
-                    count=batch.n_rows,
-                )
+                # the UTF-8 bytes; NULL rows are dropped below
+                h = np.fromiter(map(fnv1a64, key_col.data), dtype=np.uint64,
+                                count=batch.n_rows)
             else:
                 h = _fnv_int64_vector(key_col.data)
             buckets = (h % np.uint64(r)).astype(np.int64)
@@ -735,8 +723,8 @@ class _QueryState:
 
     def _agg_partial_task(self, op: AggPartialOp, task_id: int):
         batches = self.outputs[op.input_op][task_id]
-        tracker = _BudgetTracker(self.budget)
         merged: dict[int, list] = {}
+        held = 0  # distinct values charged to the row budget
         for batch in batches:
             idx_groups = self._bucketize(op, batch)
             # SUM and AVG of one column, or a repeated aggregate, share one state
@@ -745,9 +733,17 @@ class _QueryState:
             for spec in op.specs:
                 key = ("sum" if spec.kind == "avg" else spec.kind, spec.input_pos)
                 if key not in made:
-                    made[key] = _spec_partial(spec, batch.cols, idx_groups, tracker)
+                    made[key] = _spec_partial(spec, batch.cols, idx_groups)
+                    if spec.kind == "count_distinct":
+                        held += sum(len(st[0]) for st in made[key].values())
                 parts.append(made[key])
             _merge_slots(op.specs, merged, {g: [p[g] for p in parts] for g in idx_groups})
+            if held > self.budget:
+                # the batches' sets overlap: charge what the task really holds
+                held = _compact_distinct(op.specs, merged)
+                if held > self.budget:
+                    raise MemoryBudgetExceeded(
+                        f"distinct set of {held} rows exceeds budget {self.budget}")
         with self._lock:
             if len(merged) > self.metrics.peak_group_count:
                 self.metrics.peak_group_count = len(merged)

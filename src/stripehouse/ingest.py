@@ -145,18 +145,10 @@ def _sorted_batches(batches, schema: TableSchema, sort_by: str, batch_rows: int)
     merged = [C.concat(parts) for parts in collected]
     collected.clear()
     key = merged[key_idx]
-    if isinstance(key, C.StrColumn):
-        if key.valid is not None:
-            u = key.data.copy()
-            u[~key.valid] = ""
-            # lexsort is stable; primary key last: NULLs first, then value
-            order = np.lexsort((u.astype("U"), key.valid.astype(np.int8)))
-        else:
-            order = np.argsort(key.data.astype("U"), kind="stable")
-    elif key.valid is not None:
-        order = np.lexsort((key.data, key.valid.astype(np.int8)))
-    else:
-        order = np.argsort(key.data, kind="stable")
+    k = C.sort_key(key) if isinstance(key, C.StrColumn) else key.data
+    # lexsort is stable; primary key last: NULLs first, then value
+    order = (np.argsort(k, kind="stable") if key.valid is None
+             else np.lexsort((k, key.valid)))
     n = len(key)
     for start in range(0, n, batch_rows):
         idx = order[start:start + batch_rows]

@@ -16,7 +16,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import columns as C
 from .errors import IllegalCharacter, IoFailure, MalformedRecord
@@ -32,9 +31,7 @@ def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
     """Field text per value: FLOAT64 as shortest round-trip decimal, DATE as
     ISO ``YYYY-MM-DD``, NULL as the empty field."""
     if isinstance(col, C.StrColumn):
-        if col.valid is None:
-            return list(col.data)
-        return [v if v is not None else "" for v in col.data]
+        return col.strings()
     data = col.data
     if ctype is ColumnType.FLOAT64:
         out = [repr(v) for v in data.tolist()]
@@ -51,22 +48,19 @@ def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
 def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     """Typed column from field texts; the empty field decodes to NULL.
 
-    ``fields`` is a list of ``str`` or, for a number or DATE column, an
+    ``fields`` is a list of ``str``; for a STRING column it may also be a
+    ``StrColumn`` of the fields' bytes, and for a number or DATE column an
     ``S`` array of ASCII fields holding no NUL byte (so each element is its
-    field's whole text, which numpy parses as it parses the ``str``). Equal
-    strings of one batch share one object.
+    field's whole text, which numpy parses as it parses the ``str``).
     For the first unparsable field, or INT64 outside int64 or DATE outside
     years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
     returns, so each caller reports the position its own way.
     """
     if ctype is ColumnType.STRING:
-        memo: dict[str, str] = {}
-        data = np.array(list(map(memo.setdefault, fields, fields)), dtype=object)
-        valid = data != ""
-        if valid.all():
-            return C.StrColumn(data, None)
-        data[~valid] = None
-        return C.StrColumn(data, valid)
+        if not isinstance(fields, C.StrColumn):
+            fields = C.strings_column(fields, None)
+        valid = np.diff(fields.offsets) != 0
+        return C.StrColumn(fields.offsets, fields.buf, None if valid.all() else valid)
     u = np.asarray(fields)
     valid = u != u.dtype.type()
     all_valid = bool(valid.all())
@@ -210,7 +204,7 @@ class _RowtextScan:
         """
         arity = self.schema.arity
         try:
-            text = block.decode("utf-8")
+            block.decode("utf-8")
         except UnicodeDecodeError as e:
             raise MalformedRecord(f"invalid UTF-8: {e.reason}",
                                   line_no + block.count(b"\n", 0, e.start)) from None
@@ -227,14 +221,7 @@ class _RowtextScan:
             return n, {}
         ends = delims.reshape(n, arity)
         starts = np.concatenate(([0], delims[:-1] + 1)).reshape(n, arity)
-        # a str offset is the byte offset less the UTF-8 continuation bytes before it
-        cont = np.flatnonzero((a & 0xC0) == 0x80) if len(text) < len(block) else a[:0]
         nul = b"\0" in block
-
-        def texts(i):
-            s, e = starts[:, i], ends[:, i]
-            s, e = s - np.searchsorted(cont, s), e - np.searchsorted(cont, e)
-            return [text[x:y] for x, y in zip(s.tolist(), e.tolist())]
 
         def bad_field(j, message):
             return MalformedRecord(message, line_no + j)
@@ -242,21 +229,20 @@ class _RowtextScan:
         cols = {}
         for i in self.needed:
             ctype = self.schema.columns[i].ctype
-            fields = None
-            if ctype is not ColumnType.STRING and not nul:
-                fields = _gather(a, starts[:, i], ends[:, i])
-            cols[i] = decode_column(texts(i) if fields is None else fields, ctype, bad_field)
+            s, lengths = starts[:, i], ends[:, i] - starts[:, i]
+            if ctype is ColumnType.STRING:
+                fields = C.gather_strings(a, s, lengths, None)
+            elif nul or (fields := _gather(a, s, lengths)) is None:
+                fields = C.gather_strings(a, s, lengths, None).strings()
+            cols[i] = decode_column(fields, ctype, bad_field)
         return n, cols
 
 
-def _gather(a: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The fields ``a[starts[r]:ends[r]]`` as one ``S<width>`` array, or
+def _gather(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The fields ``a[starts[r]:][:lengths[r]]`` as one ``S<width>`` array, or
     None when one holds a non-ASCII byte."""
-    lens = ends - starts
-    width = max(int(lens.max()), 1)
-    padded = np.concatenate((a, np.zeros(width, np.uint8)))
-    g = sliding_window_view(padded, width)[starts]
-    g[np.arange(width) >= lens[:, None]] = 0
+    width = max(int(lengths.max()), 1)
+    g = C.padded(a, starts, lengths, width)
     if g.max() >= 0x80:
         return None
     return g.view(f"S{width}").ravel()

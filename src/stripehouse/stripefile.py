@@ -98,13 +98,6 @@ class StripeFooter:
     bytes_read: int  # bytes consumed to obtain this footer
 
 
-def _truncate_bound(s: str) -> tuple[str, bool]:
-    b = s.encode("utf-8")
-    if len(b) <= STR_BOUND_BYTES:
-        return s, False
-    return b[:STR_BOUND_BYTES].decode("utf-8", "ignore"), True
-
-
 def _column_stats(col: C.Column, ctype: ColumnType, n: int) -> dict:
     """Stats dict for one chunk (offsets filled in by the writer)."""
     valid = col.valid
@@ -113,15 +106,14 @@ def _column_stats(col: C.Column, ctype: ColumnType, n: int) -> dict:
     if null_count == n:
         return out
     if ctype is ColumnType.STRING:
-        vals = col.data if valid is None else col.data[valid]
-        mn, mx = min(vals), max(vals)
-        mn, mn_t = _truncate_bound(mn)
-        mx, mx_t = _truncate_bound(mx)
-        out["min"], out["max"] = mn, mx
-        if mn_t:
-            out["min_truncated"] = True
-        if mx_t:
-            out["max_truncated"] = True
+        # a bound keeps the first STR_BOUND_BYTES bytes, so the key needs no more
+        rows = np.arange(n) if valid is None else np.flatnonzero(valid)
+        key = C.sort_key(col, STR_BOUND_BYTES)[rows]
+        for name, r in (("min", rows[key.argmin()]), ("max", rows[key.argmax()])):
+            raw = col.buf[col.offsets[r]:col.offsets[r + 1]].tobytes()
+            out[name] = raw[:STR_BOUND_BYTES].decode("utf-8", "ignore")
+            if len(raw) > STR_BOUND_BYTES:
+                out[f"{name}_truncated"] = True
         return out
     vals = col.data if valid is None else col.data[valid]
     if ctype is ColumnType.FLOAT64:
@@ -144,25 +136,9 @@ def _pack_chunk(col: C.Column, ctype: ColumnType, n: int) -> bytes:
     else:
         parts.append(np.packbits(~col.valid, bitorder="little").tobytes())
     if ctype is ColumnType.STRING:
-        encoded = []
-        lengths = np.zeros(n, dtype="<u4")
-        data = col.data
-        if col.valid is None:
-            for i in range(n):
-                b = data[i].encode("utf-8")
-                lengths[i] = len(b)
-                encoded.append(b)
-        else:
-            valid = col.valid
-            for i in range(n):
-                if valid[i]:
-                    b = data[i].encode("utf-8")
-                    lengths[i] = len(b)
-                    encoded.append(b)
-        parts.append(lengths.tobytes())
-        parts.append(b"".join(encoded))
-        return b"".join(parts)
-    if ctype is ColumnType.FLOAT64:
+        parts.append(np.diff(col.offsets).astype("<u4").tobytes())
+        parts.append(col.buf.tobytes())
+    elif ctype is ColumnType.FLOAT64:
         parts.append(col.data.astype("<f8", copy=False).tobytes())
     else:
         parts.append(col.data.astype("<i8", copy=False).tobytes())
@@ -171,7 +147,10 @@ def _pack_chunk(col: C.Column, ctype: ColumnType, n: int) -> bytes:
 
 def _slice_column(col: C.Column, start: int, stop: int) -> C.Column:
     valid = None if col.valid is None else col.valid[start:stop]
-    return type(col)(col.data[start:stop], valid)
+    if isinstance(col, C.StrColumn):
+        o = col.offsets[start:stop + 1]
+        return C.StrColumn(o - o[0], col.buf[o[0]:o[-1]], valid)
+    return C.NumColumn(col.data[start:stop], valid)
 
 
 class StripeWriter:
@@ -397,8 +376,8 @@ def read_stripe_columns(path, footer: StripeFooter, stripe_idx: int,
                         needed: list[int]) -> tuple[dict[int, C.Column], int]:
     """Read the requested column chunks of one stripe.
 
-    Returns ``({col_index: Column}, bytes_read)``. String columns come back
-    lazy (undecoded).
+    Returns ``({col_index: Column}, bytes_read)``. Every column wraps the
+    bytes read, undecoded.
     """
     stripe = footer.stripes[stripe_idx]
     out: dict[int, C.Column] = {}
@@ -418,29 +397,32 @@ def read_stripe_columns(path, footer: StripeFooter, stripe_idx: int,
 
 
 def _parse_chunk(raw: bytes, ctype: ColumnType, rows: int, path) -> C.Column:
+    """The chunk's column, wrapping ``raw`` without a copy."""
     if len(raw) < 5 or raw[0] != 0:
         raise CorruptFooter(f"{path}: bad chunk header")
     rc = struct.unpack("<I", raw[1:5])[0]
     if rc != rows:
         raise CorruptFooter(f"{path}: chunk row count {rc} != stripe rows {rows}")
     bm_len = (rc + 7) // 8
-    body = raw[5 + bm_len:]
+    start = 5 + bm_len
     bitmap = np.frombuffer(raw, dtype=np.uint8, count=bm_len, offset=5)
     nulls = np.unpackbits(bitmap, count=rc, bitorder="little").astype(bool)
     valid = None if not nulls.any() else ~nulls
     if ctype is ColumnType.STRING:
-        if len(body) < 4 * rc:
+        if len(raw) - start < 4 * rc:
             raise CorruptFooter(f"{path}: string chunk too short")
-        lengths = np.frombuffer(body, dtype="<u4", count=rc)
-        buf = body[4 * rc:]
-        if int(lengths.sum()) != len(buf):
+        lengths = np.frombuffer(raw, dtype="<u4", count=rc, offset=start)
+        offsets = C.str_offsets(lengths)
+        if offsets[-1] != len(raw) - start - 4 * rc:
             raise CorruptFooter(f"{path}: string chunk byte count mismatch")
-        return C.LazyStrColumn(lengths, buf, valid)
-    if len(body) != 8 * rc:
+        if valid is not None and lengths[nulls].any():
+            raise CorruptFooter(f"{path}: NULL string slot holds bytes")
+        return C.StrColumn(offsets, np.frombuffer(raw, dtype=np.uint8, offset=start + 4 * rc),
+                           valid)
+    if len(raw) - start != 8 * rc:
         raise CorruptFooter(f"{path}: numeric chunk byte count mismatch")
-    if ctype is ColumnType.FLOAT64:
-        return C.NumColumn(np.frombuffer(body, dtype="<f8", count=rc), valid)
-    return C.NumColumn(np.frombuffer(body, dtype="<i8", count=rc), valid)
+    dtype = "<f8" if ctype is ColumnType.FLOAT64 else "<i8"
+    return C.NumColumn(np.frombuffer(raw, dtype=dtype, count=rc, offset=start), valid)
 
 
 # --- pruning rule (the single authority; the planner and _StripeScan call it) ---

@@ -200,6 +200,57 @@ def test_string_join_keys_match_oracle(tmp_path, fmt):
             assert res.rows == oracle.rows, (sql, e, c)
 
 
+def test_string_join_keys_nul_and_empty_stripe_only(tmp_path):
+    # only stripe files hold "" apart from NULL; "a" and "a\0" are two keys
+    rng = random.Random(6)
+    keys = ["a", "a\0", "", "\0", "a\0\0", "b", None]
+    raw = {
+        "a": [(rng.choice(keys), rng.randrange(100)) for _ in range(300)],
+        "b": [(rng.choice(keys), rng.choice([0.5, 1.5, None])) for _ in range(40)],
+    }
+    cat = Catalog(tmp_path / "root")
+    for name, cols in (("a", [("k", ColumnType.STRING, True), ("v", ColumnType.INT64, True)]),
+                       ("b", [("k", ColumnType.STRING, True), ("w", ColumnType.FLOAT64, True)])):
+        schema = TableSchema.create(name, cols)
+        cat.create_table(schema, StorageFormat.STRIPE)
+        rows = raw[name]
+        for pid, start in enumerate(range(0, len(rows), 120)):
+            cat.register_partition(name, stripefile.write_stripes(
+                rows[start:start + 120], schema, tmp_path / f"{name}{pid}.stp",
+                stripe_size=16, partition_id=pid))
+    queries = [
+        "SELECT COUNT(*), SUM(x.v), COUNT(DISTINCT y.w), COUNT(DISTINCT y.k) "
+        "FROM a x JOIN b y ON x.k = y.k",
+        "SELECT BUCKET(x.v, 0, 25, 50, 100) AS c, COUNT(DISTINCT x.k), COUNT(*) "
+        "FROM a x JOIN b y ON x.k = y.k GROUP BY c",
+        "SELECT COUNT(*) FROM a x JOIN b y ON x.k = y.k WHERE x.k = 'a'",
+    ]
+    for sql in queries:
+        oracle = brute_force(compile_text(sql, cat), raw)
+        for e, c in ((1, 1), (4, 3)):
+            assert run_join_shapes(cat, sql, executors=e, cores=c).rows == oracle.rows, sql
+    for sql, expected in (("SELECT COUNT(DISTINCT k) FROM a", 6),
+                          ("SELECT COUNT(*) FROM a WHERE k = ''",
+                           sum(k == "" for k, _ in raw["a"]))):
+        oracle = brute_force(compile_text(sql, cat), raw)
+        assert oracle.rows == [(expected,)]
+        assert run(cat, sql)[0].rows == oracle.rows, sql
+
+
+def test_distinct_budget_charges_sets_not_batches(tmp_path):
+    # one row-text partition of 200 000 rows, 1 000 distinct keys, read as
+    # 4 batches: the batches' sets overlap, and the task holds 1 000 values
+    assert -(-200_000 // engine_mod.ENGINE_BATCH_ROWS) == 4
+    text = "k\n" + "".join(f"{i % 1000}\n" for i in range(200_000))
+    cat = load_tables(tmp_path, StorageFormat.ROWTEXT,
+                      {"t": ([("k", ColumnType.INT64, False)], text)},
+                      partitions=1, stripe_size=200_000)
+    res, _ = run(cat, "SELECT COUNT(DISTINCT k) FROM t", mem_rows=2_000)
+    assert res.rows == [(1000,)]
+    with pytest.raises(MemoryBudgetExceeded, match="1000 rows exceeds budget 999"):
+        run(cat, "SELECT COUNT(DISTINCT k) FROM t", mem_rows=999)
+
+
 @pytest.mark.parametrize("fmt", list(StorageFormat))
 def test_float_distinct_and_avg_nan_signed_zero(tmp_path, fmt):
     # NaN of both signs, ±0.0 and NULL spread over many stripes and partitions

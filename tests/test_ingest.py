@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,24 @@ def test_ingest_and_write_rowtext_same_bytes(tmp_path):
     entry = ingest_csv(cat, "t", csv_path, partitions=1)
     write_rowtext(rows, entry.schema, tmp_path / "w.rtx")
     assert Path(entry.partitions[0].path).read_bytes() == (tmp_path / "w.rtx").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", list(StorageFormat))
+def test_sort_by_string_orders_by_code_point(tmp_path, fmt):
+    # "a" < "a\0" < "a\0\0" < "ab" by code point, where numpy `U` values
+    # drop the trailing NULs and tie; NULLs first, ties in input order
+    pool = ["a", "a\0", "a\0\0", "ab", "\0", "é", "日本", "x" * 40, ""]
+    rng = random.Random(12)
+    rows = [(i, rng.choice(pool)) for i in range(5_000)]
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text("k,s\n" + "".join(f"{k},{s}\n" for k, s in rows), encoding="utf-8")
+    cat = Catalog(tmp_path / "root")
+    schema = TableSchema.create("t", [("k", ColumnType.INT64, False),
+                                      ("s", ColumnType.STRING, True)])
+    cat.create_table(schema, fmt)
+    entry = ingest_csv(cat, "t", csv_path, partitions=1, stripe_size=700, sort_by="s")
+    scan = scan_stripes if fmt is StorageFormat.STRIPE else scan_rowtext
+    got = [r for b in scan(entry.partitions[0].path, entry.schema) for r in b]
+    expected = sorted(((k, s or None) for k, s in rows),
+                      key=lambda r: (r[1] is not None, r[1] or ""))
+    assert got == expected
