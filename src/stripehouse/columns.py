@@ -13,22 +13,19 @@ A scan produces one column object per projected schema column:
 NULL never satisfies a comparison; float comparisons are IEEE-754, so NaN
 satisfies only ``!=``.
 
-``RowScan`` turns either format's columnar scan into row-tuple batches, and
-``ScanStats`` counts what a scan read.
+Each format has one scan driver: the planner chooses a scan's tasks and the
+engine reads each with the format's columnar reader, then keeps the rows
+passing the predicate with ``filter_project``. ``ScanStats`` counts what a
+scan read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .errors import TypeMismatch
-from .schema import ColumnType
-from .values import check_value
 
 
 @dataclass
@@ -129,8 +126,6 @@ def sort_key(col: StrColumn, width: int | None = None) -> np.ndarray:
 class ScanStats:
     rows_read: int = 0
     bytes_read: int = 0
-    stripes_total: int = 0
-    stripes_pruned: int = 0
 
 
 _OPS = {"=": np.equal, "!=": np.not_equal, "<": np.less, "<=": np.less_equal,
@@ -184,33 +179,6 @@ def filter_project(cols: dict[int, Column], conjuncts, projection,
     return len(idx), [take(cols[i], idx) for i in projection]
 
 
-class RowScan:
-    """Row-tuple scan over a columnar scan: yields one list of tuples, in
-    ``projection`` order (None = all columns), per batch with a row passing
-    ``predicate``.
-
-    ``columnar(needed)`` makes the columnar scan of the ``needed`` column
-    indices: an iterable of ``(n_rows, {col_index: Column})`` with a
-    ``.stats`` that is complete after iteration, which this scan shares.
-    """
-
-    def __init__(self, columnar, schema, projection, predicate):
-        self._projection = list(range(schema.arity)) if projection is None else list(projection)
-        self._predicate = tuple(predicate)
-        self._types = [c.ctype for c in schema.columns]
-        self._inner = columnar(sorted(set(self._projection) | {c.col for c in self._predicate}))
-        self.stats = self._inner.stats
-
-    def __iter__(self):
-        for n_rows, cols in self._inner:
-            kept = filter_project(cols, self._predicate, self._projection, n_rows)
-            if kept and kept[0]:
-                n, out = kept
-                values = [column_to_values(c, self._types[i])
-                          for c, i in zip(out, self._projection)]
-                yield list(zip(*values)) if values else [()] * n
-
-
 def concat(cols: list[Column]) -> Column:
     """One column holding the rows of ``cols`` in order."""
     if len(cols) == 1:
@@ -238,55 +206,3 @@ def strings_column(texts: list[str], valid: np.ndarray | None) -> StrColumn:
     rows = texts if len(buf) == len(joined) else map(str.encode, texts)
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(texts))
     return StrColumn(str_offsets(lengths), np.frombuffer(buf, dtype=np.uint8), valid)
-
-
-def column_from_values(values, ctype: ColumnType) -> Column:
-    """Build a column from a sequence of Python values (None = NULL)."""
-    valid = np.fromiter((v is not None for v in values), dtype=bool, count=len(values))
-    valid = None if valid.all() else valid
-    if ctype is ColumnType.STRING:
-        return strings_column(["" if v is None else v for v in values], valid)
-    dtype = np.float64 if ctype is ColumnType.FLOAT64 else np.int64
-    return NumColumn(np.array([0 if v is None else v for v in values], dtype=dtype), valid)
-
-
-def write_rows(writer, rows, batch_rows: int, *, partition_id: int,
-               worker_id: int):
-    """Type-checked row tuples through ``writer``, ``batch_rows`` at a time.
-
-    ``writer`` has the ``append_columns`` / ``abort`` / ``close`` methods of
-    the storage writers; returns what ``close`` returns.
-    """
-    schema = writer.schema
-    it = iter(rows)
-    try:
-        while batch := list(islice(it, batch_rows)):
-            for row in batch:
-                if len(row) != schema.arity:
-                    raise TypeMismatch(
-                        f"row arity {len(row)} != schema arity {schema.arity}"
-                    )
-                for col, value in zip(schema.columns, row):
-                    check_value(value, col.ctype, col.nullable, col.name)
-            writer.append_columns([
-                column_from_values([r[i] for r in batch], c.ctype)
-                for i, c in enumerate(schema.columns)
-            ])
-    except BaseException:
-        writer.abort()
-        raise
-    return writer.close(partition_id=partition_id, worker_id=worker_id)
-
-
-def column_to_values(col: Column, ctype: ColumnType) -> list:
-    """Back to Python values with None for NULL slots."""
-    if isinstance(col, StrColumn):
-        out = col.strings()
-    elif ctype is ColumnType.FLOAT64:
-        out = [float(x) for x in col.data]
-    else:
-        out = [int(x) for x in col.data]
-    if col.valid is not None:
-        for i in np.flatnonzero(~col.valid):
-            out[i] = None
-    return out

@@ -88,10 +88,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def fnv1a64_int(value: int) -> int:
-    return fnv1a64(int(value).to_bytes(8, "little", signed=True))
-
-
 def _fnv_int64_vector(keys: np.ndarray) -> np.ndarray:
     """FNV-1a over each key's 8 little-endian bytes, vectorized.
 

@@ -20,8 +20,9 @@ sort-based join kernel in the engine.
 
 Stripe pruning is decided here, once: ``_scan_op`` takes each partition's
 footer from the process-wide footer cache (``stripefile.cached_footer``,
-which parses a footer again only when its file changed) and keeps the
-stripes ``stripefile.prune_stripes`` keeps. The plan carries those
+which parses a footer again only when its file changed), raises
+``TypeMismatch`` unless the file's column types are the table's, and keeps
+the stripes ``stripefile.prune_stripes`` keeps. The plan carries those
 footers, so the engine reads stripes by the footer the plan pruned with. A
 scan has one task per kept stripe (STRIPE) or per partition file
 (ROWTEXT). Reducer count R = executors * cores.
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import TypeMismatch
 from .predicate import Conjunct
 from .schema import Catalog, StorageFormat, TableEntry, TableSchema
 from .sql import ResolvedQuery
@@ -213,10 +215,14 @@ def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
     if entry.format is StorageFormat.ROWTEXT:
         tasks = [ScanTask(part.path, None, part.row_count) for part in entry.partitions]
     else:
+        types = [c.ctype for c in entry.schema.columns]
         for part in entry.partitions:
             footer = footers.get(part.path)
             if footer is None:
                 footer = footers[part.path] = stripefile.cached_footer(part.path)
+            # the engine reads each chunk as the catalog's type says
+            if [c.ctype for c in footer.schema.columns] != types:
+                raise TypeMismatch(f"{part.path}: file schema does not match the table's")
             kept = stripefile.prune_stripes(footer, conjuncts if prune else ())
             stripes_total += len(kept)
             stripes_pruned += kept.count(False)

@@ -154,13 +154,6 @@ class RowtextWriter:
         )
 
 
-def write_rowtext(rows, schema: TableSchema, path, *, partition_id: int = 0,
-                  worker_id: int = 0) -> PartitionDescriptor:
-    """Write type-checked row tuples to one block file."""
-    return C.write_rows(RowtextWriter(schema, path), rows, DEFAULT_BATCH_ROWS,
-                        partition_id=partition_id, worker_id=worker_id)
-
-
 def scan_rowtext_columnar(path, schema: TableSchema, needed: list[int],
                           batch_rows: int = DEFAULT_BATCH_ROWS):
     """Yield ``(n_rows, {col_index: Column})`` batches plus final stats.
@@ -265,10 +258,3 @@ def _record_blocks(f, batch_rows: int):
     tail = b"".join(parts)
     if tail:
         yield tail if tail.endswith(b"\n") else tail + b"\n"
-
-
-def scan_rowtext(path, schema: TableSchema, projection=None, predicate=(),
-                 batch_rows: int = DEFAULT_BATCH_ROWS) -> C.RowScan:
-    """Row-tuple scan of one block file (see ``columns.RowScan``)."""
-    return C.RowScan(lambda needed: scan_rowtext_columnar(path, schema, needed, batch_rows),
-                     schema, projection, predicate)

@@ -248,10 +248,6 @@ class Catalog:
             except KeyError:
                 raise UnknownTable(name) from None
 
-    def has_table(self, name: str) -> bool:
-        with self._lock:
-            return name.lower() in self._tables
-
     def table_names(self) -> list[str]:
         with self._lock:
             return sorted(self._tables)

@@ -33,10 +33,9 @@ leave its stamp unchanged (git's "racily clean" rule). The cache holds at
 most ``FOOTER_CACHE_BYTES`` of footers (summed ``bytes_read``) and evicts
 the least recently used entry.
 
-``prune_stripes`` is the one pruning rule. The planner calls it once per
-partition to choose the stripes the engine reads (with
-``read_stripe_columns``); ``scan_stripes``, a ``columns.RowScan`` over
-``_StripeScan``, calls it for a standalone row-tuple scan.
+``prune_stripes`` is the one pruning rule, and the planner its only caller:
+it prunes each partition once, and the engine reads the stripes it keeps
+with ``read_stripe_columns``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import columns as C
-from .errors import BadMagic, CorruptFooter, IoFailure, TypeMismatch
+from .errors import BadMagic, CorruptFooter, IoFailure
 from .schema import (
     Column as SchemaColumn,
     ColumnType,
@@ -255,14 +254,6 @@ class StripeWriter:
         )
 
 
-def write_stripes(rows, schema: TableSchema, path,
-                  stripe_size: int = DEFAULT_STRIPE_SIZE, *,
-                  partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
-    """Write type-checked row tuples to one stripe file."""
-    return C.write_rows(StripeWriter(schema, path, stripe_size), rows, stripe_size,
-                        partition_id=partition_id, worker_id=worker_id)
-
-
 def read_footer(path) -> StripeFooter:
     """Parse the footer directory; reads only header magic + trailer + footer."""
     path = Path(path)
@@ -425,7 +416,7 @@ def _parse_chunk(raw: bytes, ctype: ColumnType, rows: int, path) -> C.Column:
     return C.NumColumn(np.frombuffer(raw, dtype=dtype, count=rc, offset=start), valid)
 
 
-# --- pruning rule (the single authority; the planner and _StripeScan call it) ---
+# --- pruning rule (the single authority; the planner calls it) ---
 
 _NEG_INF = object()
 _POS_INF = object()
@@ -510,13 +501,10 @@ def analyze_predicate(conjuncts):
     return intervals, neq, contradiction
 
 
-def stripe_may_match(stripe: StripeInfo, conjuncts, intervals=None, neq=None,
-                     contradiction=None) -> bool:
-    """Conservative test: can any row of this stripe satisfy the predicate?"""
-    if intervals is None:
-        intervals, neq, contradiction = analyze_predicate(conjuncts)
-    if contradiction and conjuncts:
-        return False
+def stripe_may_match(stripe: StripeInfo, intervals: dict[int, _Interval],
+                     neq: dict[int, list]) -> bool:
+    """Conservative test: can any row of this stripe satisfy the predicate
+    ``analyze_predicate`` found to be ``intervals`` and ``neq``?"""
     touched = set(intervals) | set(neq)
     for col in touched:
         st = stripe.columns[col]
@@ -546,51 +534,9 @@ def prune_stripes(footer: StripeFooter, conjuncts) -> list[bool]:
     if not conjuncts:
         return [True] * len(footer.stripes)
     intervals, neq, contradiction = analyze_predicate(conjuncts)
-    return [
-        stripe_may_match(s, conjuncts, intervals, neq, contradiction)
-        for s in footer.stripes
-    ]
-
-
-def scan_stripes(path, schema: TableSchema, projection=None, predicate=(),
-                 prune: bool = True) -> C.RowScan:
-    """Row-tuple scan of one stripe file (see ``columns.RowScan``); result
-    sets are identical with prune on/off."""
-    return C.RowScan(lambda needed: _StripeScan(path, schema, needed, predicate if prune else ()),
-                     schema, projection, predicate)
-
-
-class _StripeScan:
-    """``(n_rows, {col_index: Column})`` of the ``needed`` columns of each
-    stripe that ``prune_stripes`` keeps for ``conjuncts``; ``.stats`` is
-    complete after iteration."""
-
-    def __init__(self, path, schema, needed, conjuncts):
-        self._path = Path(path)
-        self._schema = schema
-        self._needed = needed
-        self._conjuncts = tuple(conjuncts)
-        self.stats = C.ScanStats()
-
-    def __iter__(self):
-        footer = cached_footer(self._path)
-        if len(footer.schema.columns) != len(self._schema.columns) or any(
-            a.ctype != b.ctype for a, b in zip(footer.schema.columns, self._schema.columns)
-        ):
-            raise TypeMismatch(
-                f"{self._path}: file schema does not match expected schema"
-            )
-        stats = self.stats
-        stats.bytes_read += footer.bytes_read
-        retained = prune_stripes(footer, self._conjuncts)
-        stats.stripes_total += len(retained)
-        stats.stripes_pruned += retained.count(False)
-        for si, keep in enumerate(retained):
-            if keep:
-                cols, nbytes = read_stripe_columns(self._path, footer, si, self._needed)
-                stats.bytes_read += nbytes
-                stats.rows_read += footer.stripes[si].row_count
-                yield footer.stripes[si].row_count, cols
+    if contradiction:
+        return [False] * len(footer.stripes)
+    return [stripe_may_match(s, intervals, neq) for s in footer.stripes]
 
 
 def dump_footer(path) -> str:

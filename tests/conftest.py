@@ -7,8 +7,10 @@ import pytest
 from stripehouse import stripefile
 from stripehouse.datagen import GenSpec, encounter_schema, generate, lab_schema
 from stripehouse.ingest import ingest_csv
-from stripehouse.schema import Catalog, StorageFormat
+from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.values import iso_to_days
+
+from rows import write_file
 
 SEED_SPEC = GenSpec(seed=42, n_patients=1000, n_encounters=10000, n_labs=100000)
 
@@ -79,3 +81,18 @@ def footer_parses(monkeypatch):
 
     monkeypatch.setattr(stripefile, "read_footer", counting)
     return calls
+
+
+@pytest.fixture()
+def mismatched_catalog(tmp_path):
+    """Stripe tables ``t`` and ``u`` of ``(a INT64, b STRING)``; ``u``'s file
+    holds that schema, ``t``'s holds ``(a FLOAT64)``."""
+    cat = Catalog(tmp_path / "db")
+    catalog_schema = [("a", ColumnType.INT64, True), ("b", ColumnType.STRING, True)]
+    files = {"t": ([("a", ColumnType.FLOAT64, True)], [(2.5,), (1.0,)]),
+             "u": (catalog_schema, [(1, "x"), (3, "y")])}
+    for name, (file_schema, rows) in files.items():
+        cat.create_table(TableSchema.create(name, catalog_schema), StorageFormat.STRIPE)
+        cat.register_partition(name, write_file(rows, TableSchema.create(name, file_schema),
+                                                tmp_path / f"{name}.stp"))
+    return cat

@@ -38,15 +38,10 @@ from stripehouse.service import (
     encode_frame,
 )
 from stripehouse.sql import compile_text
-from stripehouse.stripefile import (
-    STR_BOUND_BYTES,
-    prune_stripes,
-    read_footer,
-    scan_stripes,
-    write_stripes,
-)
+from stripehouse.stripefile import STR_BOUND_BYTES, prune_stripes, read_footer
 
 from query_gen import random_query
+from rows import scan_file, write_file
 
 LADDER_SIZES = (100_000, 300_000, 1_000_000, 3_000_000, 10_000_000)
 SWEEP_E = (1, 2, 4, 8, 16, 32)
@@ -299,7 +294,7 @@ def test_criterion_5_storage_conformance(tmp_path):
         n = rng.randrange(0, 800) if trial % 50 else rng.randrange(5_000, 10_001)
         rows = _random_rows(rng, n)
         stripe_size = rng.randrange(1, 400)
-        write_stripes(rows, ACC_SCHEMA, path, stripe_size=stripe_size)
+        write_file(rows, ACC_SCHEMA, path, stripe_size=stripe_size)
 
         footer = read_footer(path)
         assert footer.row_count == n
@@ -319,7 +314,7 @@ def test_criterion_5_storage_conformance(tmp_path):
                 assert st.has_nan == has_nan
 
         # round trip
-        got = [r for b in scan_stripes(path, ACC_SCHEMA) for r in b]
+        got = scan_file(path, ACC_SCHEMA)[0]
         assert len(got) == n
         for g, e in zip(got, rows):
             for gv, ev in zip(g, e):
@@ -339,7 +334,7 @@ def test_criterion_5_storage_conformance(tmp_path):
         else:
             pred = [Conjunct(col, rng.choice(["=", "!=", "<", "<=", ">", ">="]),
                              rng.randrange(-120, 21_000))]
-        got = [r for b in scan_stripes(path, ACC_SCHEMA, predicate=pred) for r in b]
+        got = scan_file(path, ACC_SCHEMA, predicate=pred)[0]
         expected = [r for r in rows if row_passes(pred, r)]
         assert len(got) == len(expected)
         for g, e in zip(got, expected):

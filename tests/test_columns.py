@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stripehouse import columns as C, stripefile
-from stripehouse.rowtext import scan_rowtext_columnar, write_rowtext
+from stripehouse.rowtext import scan_rowtext_columnar
 from stripehouse.schema import ColumnType, TableSchema
+
+from rows import column_from_values, column_to_values, write_file
 
 STRING = ColumnType.STRING
 
@@ -18,13 +20,9 @@ TEXT = st.sampled_from(["", "a", "a\0", "\0", "a\0b", "ab", "é", "日本", "\U0
 VALUES = st.lists(st.none() | TEXT, max_size=30)
 
 
-def values_of(col):
-    return C.column_to_values(col, STRING)
-
-
 def stripe_part(values):
     """``values`` packed to a stripe chunk and read back."""
-    col = C.column_from_values(values, STRING)
+    col = column_from_values(values, STRING)
     raw = stripefile._pack_chunk(col, STRING, len(values))
     return stripefile._parse_chunk(raw, STRING, len(values), "chunk")
 
@@ -36,7 +34,7 @@ def rowtext_part(values, directory):
               for v in values]
     schema = TableSchema.create("t", [("s", STRING, True)])
     path = directory / "p.rtx"
-    write_rowtext([(v,) for v in values], schema, path)
+    write_file([(v,) for v in values], schema, path)
     cols = [c[0] for _, c in scan_rowtext_columnar(path, schema, [0], batch_rows=7)]
     return values, cols
 
@@ -45,13 +43,13 @@ def rowtext_part(values, directory):
 @given(VALUES, st.data())
 def test_column_ops_match_lists(values, data):
     n = len(values)
-    for col in (C.column_from_values(values, STRING), stripe_part(values)):
-        assert values_of(col) == values
+    for col in (column_from_values(values, STRING), stripe_part(values)):
+        assert column_to_values(col) == values
         assert col.strings() == ["" if v is None else v for v in values]
         assert col.data.tolist() == [b"" if v is None else v.encode() for v in values]
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=40)) if n else [],
                        dtype=np.int64)
-        assert values_of(C.take(col, idx)) == [values[i] for i in idx]
+        assert column_to_values(C.take(col, idx)) == [values[i] for i in idx]
         for lit in {data.draw(TEXT), *(v for v in values if v is not None)}:
             assert C.conjunct_mask(col, "=", lit).tolist() == \
                 [v is not None and v == lit for v in values]
@@ -62,7 +60,7 @@ def test_column_ops_match_lists(values, data):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(TEXT, max_size=30))
 def test_sort_key_orders_by_code_point(values):
-    col = C.column_from_values(values, STRING)
+    col = column_from_values(values, STRING)
     order = np.argsort(C.sort_key(col), kind="stable")
     assert [values[i] for i in order] == sorted(values)
     # the footer bounds, from the key cut to STR_BOUND_BYTES, are the true
@@ -87,10 +85,10 @@ def test_concat_mixes_stripe_rowtext_and_value_parts(tmp_path_factory, parts, ki
         if kind == "s":
             cols.append(stripe_part(values))
         elif kind == "v":
-            cols.append(C.column_from_values(values, STRING))
+            cols.append(column_from_values(values, STRING))
         else:
             values, scanned = rowtext_part(values, tmp_path_factory.mktemp("rtx"))
             cols.extend(scanned)
         expected.extend(values)
     if cols:
-        assert values_of(C.concat(cols)) == expected
+        assert column_to_values(C.concat(cols)) == expected

@@ -18,7 +18,6 @@ from stripehouse.engine import (
     brute_force,
     execute,
     fnv1a64,
-    fnv1a64_int,
     _fnv_int64_vector,
     _sorted_unique,
 )
@@ -29,6 +28,7 @@ from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.sql import compile_text
 
 from query_gen import random_query
+from rows import write_file
 
 COMPLEX = (
     "SELECT BUCKET(l.result_value,0,50,100,200) AS cat, "
@@ -96,7 +96,7 @@ def test_fnv_vector_matches_scalar():
     keys = np.array([0, 1, -1, 2**62, -(2**62), 123456789], dtype=np.int64)
     vec = _fnv_int64_vector(keys)
     for k, h in zip(keys, vec):
-        assert int(h) == fnv1a64_int(int(k))
+        assert int(h) == fnv1a64(int(k).to_bytes(8, "little", signed=True))
     floats = _fnv_int64_vector(np.array([-0.0, 0.0, 1.5]))
     assert floats[0] == floats[1] != floats[2]
 
@@ -215,7 +215,7 @@ def test_string_join_keys_nul_and_empty_stripe_only(tmp_path):
         cat.create_table(schema, StorageFormat.STRIPE)
         rows = raw[name]
         for pid, start in enumerate(range(0, len(rows), 120)):
-            cat.register_partition(name, stripefile.write_stripes(
+            cat.register_partition(name, write_file(
                 rows[start:start + 120], schema, tmp_path / f"{name}{pid}.stp",
                 stripe_size=16, partition_id=pid))
     queries = [

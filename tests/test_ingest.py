@@ -16,11 +16,12 @@ from stripehouse.errors import (
 from stripehouse.ingest import ingest_csv
 from stripehouse.planner import ExecConfig, plan
 from stripehouse.predicate import Conjunct
-from stripehouse.rowtext import scan_rowtext, write_rowtext
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.sql import compile_text
-from stripehouse.stripefile import prune_stripes, read_footer, scan_stripes
+from stripehouse.stripefile import prune_stripes, read_footer
 from stripehouse.values import days_to_iso
+
+from rows import scan_file, write_file
 
 
 SCHEMA_COLS = [
@@ -48,7 +49,7 @@ def test_small_csv_single_partition(tmp_path):
     # 3 rows = one batch -> exactly one non-empty partition
     assert len(entry.partitions) == 1
     assert entry.row_count == 3
-    got = [r for b in scan_stripes(entry.partitions[0].path, entry.schema) for r in b]
+    got = scan_file(entry.partitions[0].path, entry.schema)[0]
     assert got == [
         (1, "a", 1.5, 11356),
         (2, "b", None, 11750),
@@ -63,7 +64,7 @@ def test_rfc4180_unescaping(tmp_path):
                         encoding="utf-8")
     cat = make_catalog(tmp_path / "root")
     entry = ingest_csv(cat, "t", csv_path)
-    got = [r for b in scan_stripes(entry.partitions[0].path, entry.schema) for r in b]
+    got = scan_file(entry.partitions[0].path, entry.schema)[0]
     assert [r[1] for r in got] == ['a,"b"', "p|\nq"]
 
 
@@ -72,7 +73,7 @@ def test_header_any_order_case_insensitive(tmp_path):
     csv_path.write_text("SCORE,Day,ID,name\n2.5,2010-01-01,7,x\n", encoding="utf-8")
     cat = make_catalog(tmp_path / "root")
     entry = ingest_csv(cat, "t", csv_path)
-    got = [r for b in scan_stripes(entry.partitions[0].path, entry.schema) for r in b]
+    got = scan_file(entry.partitions[0].path, entry.schema)[0]
     assert got == [(7, "x", 2.5, 14610)]
 
 
@@ -143,22 +144,19 @@ def test_round_robin_batch_distribution(tmp_path):
     # 5 batches of 500 over 3 partitions -> 2/2/1 batches
     assert [p.row_count for p in entry.partitions] == [1000, 1000, 500]
     # batch b goes to partition b % 3: partition 1 holds batches 1 and 4
-    got = [r for b in scan_stripes(entry.partitions[1].path, entry.schema) for r in b]
+    got = scan_file(entry.partitions[1].path, entry.schema)[0]
     ids = [r[0] for r in got]
     assert ids == list(range(500, 1000)) + list(range(2000, 2500))
 
 
 def test_end_to_end_round_trip_both_formats(seed_data, both_catalogs):
     raw = seed_data["raw"]["lab_procedure"]
-    for fmt, cat in both_catalogs.items():
+    for cat in both_catalogs.values():
         entry = cat.get_table("lab_procedure")
         assert entry.row_count == len(raw)
         got = []
         for p in entry.partitions:
-            scan = (scan_stripes if fmt is StorageFormat.STRIPE else scan_rowtext)(
-                p.path, entry.schema
-            )
-            got.extend(r for b in scan for r in b)
+            got.extend(scan_file(p.path, entry.schema)[0])
         # ingest clustered on lab_code; compare as multisets via unique lab_id
         got.sort(key=lambda r: r[0])
         assert got == raw
@@ -248,7 +246,7 @@ def test_ingest_and_write_rowtext_same_bytes(tmp_path):
         csv.writer(f).writerows([["id", "name", "score", "day"], *fields])
     cat = make_catalog(tmp_path / "root", StorageFormat.ROWTEXT)
     entry = ingest_csv(cat, "t", csv_path, partitions=1)
-    write_rowtext(rows, entry.schema, tmp_path / "w.rtx")
+    write_file(rows, entry.schema, tmp_path / "w.rtx")
     assert Path(entry.partitions[0].path).read_bytes() == (tmp_path / "w.rtx").read_bytes()
 
 
@@ -266,8 +264,7 @@ def test_sort_by_string_orders_by_code_point(tmp_path, fmt):
                                       ("s", ColumnType.STRING, True)])
     cat.create_table(schema, fmt)
     entry = ingest_csv(cat, "t", csv_path, partitions=1, stripe_size=700, sort_by="s")
-    scan = scan_stripes if fmt is StorageFormat.STRIPE else scan_rowtext
-    got = [r for b in scan(entry.partitions[0].path, entry.schema) for r in b]
+    got = scan_file(entry.partitions[0].path, entry.schema)[0]
     expected = sorted(((k, s or None) for k, s in rows),
                       key=lambda r: (r[1] is not None, r[1] or ""))
     assert got == expected

@@ -2,6 +2,7 @@ import pytest
 
 from stripehouse import stripefile
 from stripehouse.datagen import encounter_schema, lab_schema
+from stripehouse.errors import TypeMismatch
 from stripehouse.planner import (
     AggFinalOp,
     AggPartialOp,
@@ -178,6 +179,16 @@ def test_prune_tasks_contradictory_conjuncts(both_catalogs):
     scan = p.stages[0][0]
     assert scan.tasks == ()
     assert scan.stripes_pruned == scan.stripes_total
+
+
+@pytest.mark.parametrize("sql", ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'"])
+def test_plan_rejects_file_of_other_schema(mismatched_catalog, sql):
+    # read as the catalog's INT64, the FLOAT64 file would answer MAX(a) = 2.5
+    cat = mismatched_catalog
+    q = compile_text(sql, cat)
+    for e, c in ((1, 1), (8, 3)):
+        with pytest.raises(TypeMismatch, match="t.stp: file schema does not match"):
+            plan(q, cat, ExecConfig(executors=e, cores_per_executor=c))
 
 
 def test_plan_determinism(both_catalogs):

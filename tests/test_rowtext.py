@@ -6,19 +6,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stripehouse import columns as C, rowtext
+from stripehouse import rowtext
 from stripehouse.errors import IllegalCharacter, MalformedRecord, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
-from stripehouse.rowtext import (
-    decode_column,
-    encode_column,
-    scan_rowtext,
-    scan_rowtext_columnar,
-    write_rowtext,
-)
+from stripehouse.rowtext import decode_column, encode_column, scan_rowtext_columnar
 from stripehouse.schema import ColumnType, TableSchema
-from stripehouse.stripefile import write_stripes
 from stripehouse.values import iso_to_days
+
+from rows import column_from_values, column_to_values, scan_file, write_file
 
 
 SCHEMA = TableSchema.create("t", [
@@ -28,54 +23,51 @@ SCHEMA = TableSchema.create("t", [
 ])
 
 
-def collect(scan):
-    return [row for batch in scan for row in batch]
-
-
 def test_empty_file(tmp_path):
-    desc = write_rowtext([], SCHEMA, tmp_path / "p.rtx")
+    desc = write_file([], SCHEMA, tmp_path / "p.rtx")
     assert desc.row_count == 0
     assert (tmp_path / "p.rtx").read_bytes() == b""
-    scan = scan_rowtext(tmp_path / "p.rtx", SCHEMA)
-    assert collect(scan) == []
-    assert scan.stats.rows_read == 0
+    got, _, stats = scan_file(tmp_path / "p.rtx", SCHEMA)
+    assert got == []
+    assert stats.rows_read == 0
 
 
 def test_direct_encoding_rule(tmp_path):
     # one row with a NULL float encodes to `1|a|\n`
-    write_rowtext([(1, "a", None)], SCHEMA, tmp_path / "p.rtx")
+    write_file([(1, "a", None)], SCHEMA, tmp_path / "p.rtx")
     assert (tmp_path / "p.rtx").read_bytes() == b"1|a|\n"
 
 
 def test_illegal_character(tmp_path):
     with pytest.raises(IllegalCharacter):
-        write_rowtext([(1, "x|y", 0.5)], SCHEMA, tmp_path / "p.rtx")
+        write_file([(1, "x|y", 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(IllegalCharacter):
-        write_rowtext([(1, "x\ny", 0.5)], SCHEMA, tmp_path / "p.rtx")
+        write_file([(1, "x\ny", 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(IllegalCharacter):
-        write_rowtext([(1, "ok", 0.5), (2, "x\ry", 0.5)], SCHEMA, tmp_path / "p.rtx")
+        write_file([(1, "ok", 0.5), (2, "x\ry", 0.5)], SCHEMA, tmp_path / "p.rtx")
     assert not (tmp_path / "p.rtx").exists()
 
 
 def test_type_mismatch(tmp_path):
     with pytest.raises(TypeMismatch):
-        write_rowtext([("notint", "a", 0.5)], SCHEMA, tmp_path / "p.rtx")
+        write_file([("notint", "a", 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(TypeMismatch):
-        write_rowtext([(1, 2, 0.5)], SCHEMA, tmp_path / "p.rtx")
+        write_file([(1, 2, 0.5)], SCHEMA, tmp_path / "p.rtx")
     with pytest.raises(TypeMismatch):
-        write_rowtext([(1, "short")], SCHEMA, tmp_path / "p.rtx")
+        write_file([(1, "short")], SCHEMA, tmp_path / "p.rtx")
 
 
 DATED = TableSchema.create("d", [("a", ColumnType.INT64, True), ("d", ColumnType.DATE, True)])
 
 
-@pytest.mark.parametrize("writer, name", [(write_rowtext, "p.rtx"), (write_stripes, "p.stp")])
+@pytest.mark.parametrize("name", [pytest.param("p.rtx", id="write_rowtext-p.rtx"),
+                                  pytest.param("p.stp", id="write_stripes-p.stp")])
 @pytest.mark.parametrize("row", [(2**63, 0), (-(2**63) - 1, 0),
                                  (0, iso_to_days("9999-12-31") + 1),
                                  (0, iso_to_days("0001-01-01") - 1)])
-def test_writers_reject_out_of_range(tmp_path, writer, name, row):
+def test_writers_reject_out_of_range(tmp_path, name, row):
     with pytest.raises(TypeMismatch):
-        writer([(2**63 - 1, iso_to_days("0001-01-01")), row], DATED, tmp_path / name)
+        write_file([(2**63 - 1, iso_to_days("0001-01-01")), row], DATED, tmp_path / name)
 
 
 @pytest.mark.parametrize("line", ["9223372036854775808|2001-01-01",
@@ -84,7 +76,7 @@ def test_writers_reject_out_of_range(tmp_path, writer, name, row):
 def test_malformed_record_out_of_range(tmp_path, line):
     (tmp_path / "p.rtx").write_text(f"1|9999-12-31\n{line}\n", encoding="utf-8")
     with pytest.raises(MalformedRecord) as ei:
-        collect(scan_rowtext(tmp_path / "p.rtx", DATED))
+        scan_file(tmp_path / "p.rtx", DATED)
     assert ei.value.line_no == 2
 
 
@@ -100,18 +92,17 @@ def test_decode_column_rejects_trailing_nul(ctype, text):
 
 def test_predicate_filters_rows(tmp_path):
     rows = [(5, "a", 1.0), (15, "b", 2.0)]
-    write_rowtext(rows, SCHEMA, tmp_path / "p.rtx")
-    scan = scan_rowtext(tmp_path / "p.rtx", SCHEMA, predicate=[Conjunct(0, ">", 10)])
-    assert collect(scan) == [(15, "b", 2.0)]
+    write_file(rows, SCHEMA, tmp_path / "p.rtx")
+    got = scan_file(tmp_path / "p.rtx", SCHEMA, predicate=[Conjunct(0, ">", 10)])[0]
+    assert got == [(15, "b", 2.0)]
 
 
 def test_rows_read_invariant_to_selectivity(tmp_path):
     rows = [(i, f"s{i}", float(i)) for i in range(1000)]
-    write_rowtext(rows, SCHEMA, tmp_path / "p.rtx")
+    write_file(rows, SCHEMA, tmp_path / "p.rtx")
     for pred in ([], [Conjunct(0, ">", 999_999)], [Conjunct(0, ">=", 0)]):
-        scan = scan_rowtext(tmp_path / "p.rtx", SCHEMA, predicate=pred)
-        collect(scan)
-        assert scan.stats.rows_read == 1000
+        _, _, stats = scan_file(tmp_path / "p.rtx", SCHEMA, predicate=pred)
+        assert stats.rows_read == 1000
 
 
 def test_round_trip_order_and_values(tmp_path):
@@ -122,8 +113,8 @@ def test_round_trip_order_and_values(tmp_path):
         (2**62, "z", float("nan")),
         (3, "unicodé ☃", 1e-300),
     ]
-    write_rowtext(rows, SCHEMA, tmp_path / "p.rtx")
-    got = collect(scan_rowtext(tmp_path / "p.rtx", SCHEMA))
+    write_file(rows, SCHEMA, tmp_path / "p.rtx")
+    got = scan_file(tmp_path / "p.rtx", SCHEMA)[0]
     assert len(got) == len(rows)
     for g, e in zip(got, rows):
         for gv, ev in zip(g, e):
@@ -135,29 +126,29 @@ def test_round_trip_order_and_values(tmp_path):
 
 def test_projection(tmp_path):
     rows = [(1, "a", 0.5), (2, "b", 1.5)]
-    write_rowtext(rows, SCHEMA, tmp_path / "p.rtx")
-    got = collect(scan_rowtext(tmp_path / "p.rtx", SCHEMA, projection=[2, 0]))
+    write_file(rows, SCHEMA, tmp_path / "p.rtx")
+    got = scan_file(tmp_path / "p.rtx", SCHEMA, projection=[2, 0])[0]
     assert got == [(0.5, 1), (1.5, 2)]
 
 
 def test_malformed_record_arity(tmp_path):
     (tmp_path / "p.rtx").write_text("1|a|2.0\n1|a\n", encoding="utf-8")
     with pytest.raises(MalformedRecord) as ei:
-        collect(scan_rowtext(tmp_path / "p.rtx", SCHEMA))
+        scan_file(tmp_path / "p.rtx", SCHEMA)
     assert ei.value.line_no == 2
 
 
 def test_malformed_record_bad_value(tmp_path):
     (tmp_path / "p.rtx").write_text("1|a|2.0\nzap|b|1.0\n", encoding="utf-8")
     with pytest.raises(MalformedRecord) as ei:
-        collect(scan_rowtext(tmp_path / "p.rtx", SCHEMA))
+        scan_file(tmp_path / "p.rtx", SCHEMA)
     assert ei.value.line_no == 2
 
 
 def test_byte_deterministic(tmp_path):
     rows = [(i, f"v{i}", i / 7.0) for i in range(500)]
-    write_rowtext(rows, SCHEMA, tmp_path / "a.rtx")
-    write_rowtext(rows, SCHEMA, tmp_path / "b.rtx")
+    write_file(rows, SCHEMA, tmp_path / "a.rtx")
+    write_file(rows, SCHEMA, tmp_path / "b.rtx")
     assert (tmp_path / "a.rtx").read_bytes() == (tmp_path / "b.rtx").read_bytes()
 
 
@@ -171,13 +162,12 @@ def test_scan_against_brute_force_oracle(tmp_path):
             rng.choice(["aa", "bb", "cc", "dd"]),
             None if rng.random() < 0.05 else rng.uniform(-10, 10),
         ))
-    write_rowtext(rows, SCHEMA, tmp_path / "big.rtx")
+    write_file(rows, SCHEMA, tmp_path / "big.rtx")
     pred = [Conjunct(0, ">", 250), Conjunct(2, "<=", 3.5)]
-    scan = scan_rowtext(tmp_path / "big.rtx", SCHEMA, predicate=pred)
-    got = collect(scan)
+    got, _, stats = scan_file(tmp_path / "big.rtx", SCHEMA, predicate=pred)
     expected = [r for r in rows if row_passes(pred, r)]
     assert got == expected
-    assert scan.stats.rows_read == 100_000
+    assert stats.rows_read == 100_000
 
 
 VALUES = {
@@ -201,8 +191,8 @@ def _not_expected(j, message):
 def test_codec_round_trip(case):
     # repr tells NaN, -0.0 and None apart; the empty string reads back as NULL
     ctype, values = case
-    texts = encode_column(C.column_from_values(values, ctype), ctype)
-    back = C.column_to_values(decode_column(texts, ctype, _not_expected), ctype)
+    texts = encode_column(column_from_values(values, ctype), ctype)
+    back = column_to_values(decode_column(texts, ctype, _not_expected))
     expected = [None if v == "" else v for v in values]
     assert [repr(v) for v in back] == [repr(v) for v in expected]
 
@@ -244,7 +234,7 @@ EXTREMES = {
 
 def _number_field(ctype):
     values = st.none() | VALUES[ctype] | st.sampled_from(EXTREMES[ctype])
-    texts = values.map(lambda v: encode_column(C.column_from_values([v], ctype), ctype)[0])
+    texts = values.map(lambda v: encode_column(column_from_values([v], ctype), ctype)[0])
     return texts | st.sampled_from(SPELLINGS[ctype])
 
 
@@ -277,20 +267,20 @@ def _file_bytes(rows, defect, final_newline):
 
 
 def _reference_scan(data, schema, needed, batch_rows):
-    """Per line: decode, ``split("|")``, check arity; per batch: arity
-    first, then each needed column through ``decode_column``."""
+    """Per batch, as the scan reads it: decode each line, ``split("|")``
+    and check arity, then each needed column through ``decode_column``."""
     lines = data.split(b"\n")
     if lines[-1] == b"":
         lines.pop()
-    texts = []
-    for no, line in enumerate(lines, 1):
-        try:
-            texts.append((line + b"\n").decode("utf-8")[:-1])
-        except UnicodeDecodeError as e:
-            raise MalformedRecord(f"invalid UTF-8: {e.reason}", no) from None
     out = []
-    for base in range(0, len(texts), batch_rows):
-        parts = [t.split("|") for t in texts[base:base + batch_rows]]
+    for base in range(0, len(lines), batch_rows):
+        texts = []
+        for no, line in enumerate(lines[base:base + batch_rows], base + 1):
+            try:
+                texts.append((line + b"\n").decode("utf-8")[:-1])
+            except UnicodeDecodeError as e:
+                raise MalformedRecord(f"invalid UTF-8: {e.reason}", no) from None
+        parts = [t.split("|") for t in texts]
         for j, fields in enumerate(parts):
             if len(fields) != schema.arity:
                 raise MalformedRecord(f"expected {schema.arity} fields, got {len(fields)}",
@@ -300,7 +290,7 @@ def _reference_scan(data, schema, needed, batch_rows):
             ctype = schema.columns[i].ctype
             col = decode_column([p[i] for p in parts], ctype,
                                 lambda j, m: MalformedRecord(m, base + j + 1))
-            cols[i] = C.column_to_values(col, ctype)
+            cols[i] = column_to_values(col)
         out.append((len(parts), cols))
     return out
 
@@ -319,6 +309,9 @@ def _outcome(fn):
 # "2\x00" is unparsable in every batch, so line 1 is reported before line 2's bad field
 @example(rows=[("2\x00", "", "", ""), ("1", "", "", "")], defect=(1, 0, 0),
          final_newline=True, needed={0}, batch_rows=4096, block=1 << 20)
+# a bad field in batch 2 is reported before batch 3's invalid UTF-8, not yet read
+@example(rows=[("", "", "", ""), ("2\x00", "", "", ""), ("", "", "", "")], defect=(2, "utf8"),
+         final_newline=False, needed={0}, batch_rows=1, block=1 << 20)
 def test_scan_matches_per_line_reference(tmp_path_factory, rows, defect, final_newline,
                                          needed, batch_rows, block):
     data = _file_bytes(rows, defect, final_newline)
@@ -331,8 +324,7 @@ def test_scan_matches_per_line_reference(tmp_path_factory, rows, defect, final_n
         with mock.patch.object(rowtext, "READ_BLOCK_BYTES", block):
             parts = scan_rowtext_columnar(path, MIXED, needed, batch_rows)
             for n, cols in parts:
-                out.append((n, {i: C.column_to_values(c, MIXED.columns[i].ctype)
-                                for i, c in cols.items()}))
+                out.append((n, {i: column_to_values(c) for i, c in cols.items()}))
         assert parts.stats.bytes_read == len(data)
         assert parts.stats.rows_read == sum(n for n, _ in out)
         return out

@@ -27,6 +27,8 @@ from stripehouse.service import (
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.values import days_to_iso
 
+from rows import write_file
+
 
 # --- framing ---
 
@@ -408,8 +410,8 @@ def test_partition_rewritten_in_place_is_visible(tmp_path):
     entry = ingest_csv(cat, "t", csv_file, partitions=2, stripe_size=100)
     part = entry.partitions[0].path
     # another valid stripe file, to be copied over partition 0 at its path
-    stripefile.write_stripes([(10_000 + i,) for i in range(300)], schema,
-                             tmp_path / "new.stp", stripe_size=100)
+    write_file([(10_000 + i,) for i in range(300)], schema, tmp_path / "new.stp",
+               stripe_size=100)
     (tmp_path / "users.json").write_text(json.dumps(
         [{"user": "alice", "token": "s3cret", "role": "ADMIN"}]))
     (tmp_path / "rules.json").write_text(json.dumps(
@@ -437,3 +439,29 @@ def test_partition_rewritten_in_place_is_visible(tmp_path):
         c.close()
     finally:
         srv.shutdown()
+
+
+def test_file_of_other_schema_is_audited_query_error(tmp_path, mismatched_catalog):
+    (tmp_path / "users.json").write_text(json.dumps(
+        [{"user": "alice", "token": "s3cret", "role": "ADMIN"}]))
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"user": "alice", "table": "*", "effect": "ALLOW"}]))
+    srv = StripehouseServer(ServiceConfig(
+        data_root=mismatched_catalog.data_root, port=0, users_file=tmp_path / "users.json",
+        rules_file=tmp_path / "rules.json", audit_file=tmp_path / "audit.log"))
+    bad = ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'"]
+    srv.start()
+    try:
+        c = connect(srv)
+        c.hello("alice", "s3cret")
+        for sql in bad:
+            resp = c.query(sql)
+            assert resp["type"] == "error" and resp["code"] == "QUERY"
+            assert resp["message"].startswith("TypeMismatch: ")
+        assert c.query("SELECT MAX(a) FROM u")["rows"] == [[3]]
+        c.close()
+    finally:
+        srv.shutdown()
+    records = [json.loads(line) for line in (tmp_path / "audit.log").read_text().splitlines()]
+    assert [(r["action"], r["decision"], r["detail"]) for r in records[-3:]] == [
+        *(("QUERY", "ERROR", sql) for sql in bad), ("QUERY", ALLOWED, "SELECT MAX(a) FROM u")]

@@ -12,14 +12,9 @@ from stripehouse import stripefile
 from stripehouse.errors import BadMagic, CorruptFooter, IoFailure, TypeMismatch
 from stripehouse.predicate import Conjunct, row_passes
 from stripehouse.schema import ColumnType, TableSchema
-from stripehouse.stripefile import (
-    cached_footer,
-    dump_footer,
-    prune_stripes,
-    read_footer,
-    scan_stripes,
-    write_stripes,
-)
+from stripehouse.stripefile import cached_footer, dump_footer, prune_stripes, read_footer
+
+from rows import scan_file, write_file
 
 SCHEMA = TableSchema.create("t", [
     ("a", ColumnType.INT64, True),
@@ -27,10 +22,6 @@ SCHEMA = TableSchema.create("t", [
     ("c", ColumnType.FLOAT64, True),
     ("d", ColumnType.DATE, True),
 ])
-
-
-def collect(scan):
-    return [row for batch in scan for row in batch]
 
 
 def rows_equal(got, expected):
@@ -62,7 +53,7 @@ def make_rows(n, seed=0, with_nan=False):
 
 def test_stripe_ceiling_arithmetic(tmp_path):
     rows = [(i, "x", 1.0, 0) for i in range(25_000)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10_000)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10_000)
     footer = read_footer(tmp_path / "p.stp")
     assert [s.row_count for s in footer.stripes] == [10_000, 10_000, 5_000]
     assert footer.row_count == 25_000
@@ -70,7 +61,7 @@ def test_stripe_ceiling_arithmetic(tmp_path):
 
 def test_all_null_column_stats(tmp_path):
     rows = [(None, "x", 1.0, 0) for _ in range(100)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
     footer = read_footer(tmp_path / "p.stp")
     for s in footer.stripes:
         st0 = s.columns[0]
@@ -80,7 +71,7 @@ def test_all_null_column_stats(tmp_path):
 
 def test_stats_match_brute_force(tmp_path):
     rows = make_rows(5_000, seed=3, with_nan=True)
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
     footer = read_footer(tmp_path / "p.stp")
     start = 0
     for s in footer.stripes:
@@ -105,7 +96,7 @@ def test_stats_match_brute_force(tmp_path):
 
 def test_footer_read_is_small(tmp_path):
     rows = [(i, "value", float(i), 10) for i in range(25_000)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10_000)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10_000)
     footer = read_footer(tmp_path / "p.stp")
     file_size = os.path.getsize(tmp_path / "p.stp")
     assert footer.bytes_read < 0.01 * file_size
@@ -114,7 +105,7 @@ def test_footer_read_is_small(tmp_path):
 
 def test_truncated_file_bad_magic(tmp_path):
     rows = [(i, "x", 1.0, 0) for i in range(1000)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=100)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=100)
     data = (tmp_path / "p.stp").read_bytes()
     (tmp_path / "cut.stp").write_bytes(data[:-7])
     with pytest.raises(BadMagic):
@@ -126,7 +117,7 @@ def test_truncated_file_bad_magic(tmp_path):
 
 def test_corrupt_footer_detected(tmp_path):
     rows = [(i, "x", 1.0, 0) for i in range(100)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
     data = bytearray((tmp_path / "p.stp").read_bytes())
     # corrupt the first stripe's declared offset inside the footer JSON
     footer_len = int.from_bytes(data[-8:-4], "little")
@@ -141,17 +132,17 @@ def test_corrupt_footer_detected(tmp_path):
 
 
 def test_empty_table_footer(tmp_path):
-    write_stripes([], SCHEMA, tmp_path / "p.stp")
+    write_file([], SCHEMA, tmp_path / "p.stp")
     footer = read_footer(tmp_path / "p.stp")
     assert footer.stripes == ()
     assert footer.row_count == 0
-    assert collect(scan_stripes(tmp_path / "p.stp", SCHEMA)) == []
+    assert scan_file(tmp_path / "p.stp", SCHEMA)[0] == []
 
 
 def test_round_trip_preserves_rows(tmp_path):
     rows = make_rows(3_333, seed=11, with_nan=True)
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=500)
-    got = collect(scan_stripes(tmp_path / "p.stp", SCHEMA))
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=500)
+    got = scan_file(tmp_path / "p.stp", SCHEMA)[0]
     assert rows_equal(got, rows)
 
 
@@ -162,31 +153,31 @@ def test_round_trip_preserves_rows(tmp_path):
      ("c", ColumnType.FLOAT64, True)],
 ])
 def test_scan_rejects_other_column_types(tmp_path, columns):
-    write_stripes(make_rows(10, seed=1), SCHEMA, tmp_path / "p.stp")
+    write_file(make_rows(10, seed=1), SCHEMA, tmp_path / "p.stp")
     with pytest.raises(TypeMismatch):
-        collect(scan_stripes(tmp_path / "p.stp", TableSchema.create("t", columns)))
+        scan_file(tmp_path / "p.stp", TableSchema.create("t", columns))
 
 
 def test_byte_deterministic(tmp_path):
     rows = make_rows(2_000, seed=5)
-    write_stripes(rows, SCHEMA, tmp_path / "a.stp", stripe_size=300)
-    write_stripes(rows, SCHEMA, tmp_path / "b.stp", stripe_size=300)
+    write_file(rows, SCHEMA, tmp_path / "a.stp", stripe_size=300)
+    write_file(rows, SCHEMA, tmp_path / "b.stp", stripe_size=300)
     assert (tmp_path / "a.stp").read_bytes() == (tmp_path / "b.stp").read_bytes()
 
 
 def test_prune_interval_logic(tmp_path):
     # every stripe max(v) <= 200 -> v > 300 prunes everything
     rows = [(i, "x", float(i % 200), 0) for i in range(5_000)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
-    scan = scan_stripes(tmp_path / "p.stp", SCHEMA, predicate=[Conjunct(2, ">", 300.0)])
-    assert collect(scan) == []
-    assert scan.stats.stripes_pruned == scan.stats.stripes_total == 5
-    assert scan.stats.rows_read == 0
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
+    got, op, stats = scan_file(tmp_path / "p.stp", SCHEMA, predicate=[Conjunct(2, ">", 300.0)])
+    assert got == []
+    assert op.stripes_pruned == op.stripes_total == 5
+    assert stats.rows_read == 0
 
 
 def test_contradictory_conjuncts_prune_all(tmp_path):
     rows = [(i, "x", float(i), 0) for i in range(3_000)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=1_000)
     footer = read_footer(tmp_path / "p.stp")
     mask = prune_stripes(footer, [Conjunct(0, ">", 10), Conjunct(0, "<", 5)])
     assert mask == [False, False, False]
@@ -196,7 +187,7 @@ def test_prune_on_off_equivalence_randomized(tmp_path):
     rng = random.Random(99)
     rows = sorted(make_rows(8_000, seed=21, with_nan=True),
                   key=lambda r: (r[0] is not None, r[0] or 0))
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=500)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=500)
     ops = ["=", "!=", "<", "<=", ">", ">="]
     for trial in range(40):
         col = rng.randrange(4)
@@ -209,8 +200,8 @@ def test_prune_on_off_equivalence_randomized(tmp_path):
             pred = [Conjunct(col, rng.choice(ops), rng.randrange(-600, 600))]
         if rng.random() < 0.4:
             pred.append(Conjunct(0, rng.choice(ops), rng.randrange(-600, 600)))
-        on = collect(scan_stripes(tmp_path / "p.stp", SCHEMA, predicate=pred, prune=True))
-        off = collect(scan_stripes(tmp_path / "p.stp", SCHEMA, predicate=pred, prune=False))
+        on = scan_file(tmp_path / "p.stp", SCHEMA, predicate=pred, prune=True)[0]
+        off = scan_file(tmp_path / "p.stp", SCHEMA, predicate=pred, prune=False)[0]
         assert rows_equal(on, off), pred
         expected = [r for r in rows if row_passes(pred, r)]
         assert rows_equal(on, expected), pred
@@ -218,30 +209,27 @@ def test_prune_on_off_equivalence_randomized(tmp_path):
 
 def test_pruning_soundness_every_matching_row_retained(tmp_path):
     rows = sorted(make_rows(4_000, seed=8), key=lambda r: (r[3] is not None, r[3] or 0))
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=250)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=250)
     pred = [Conjunct(3, ">=", 14_000), Conjunct(3, "<", 15_000)]
-    scan = scan_stripes(tmp_path / "p.stp", SCHEMA, predicate=pred)
-    got = collect(scan)
+    got, op, _ = scan_file(tmp_path / "p.stp", SCHEMA, predicate=pred)
     expected = [r for r in rows if row_passes(pred, r)]
     assert rows_equal(got, expected)
-    assert scan.stats.stripes_pruned > 0  # clustered data actually prunes
+    assert op.stripes_pruned > 0  # clustered data actually prunes
 
 
 def test_projection_reads_fraction_of_bytes(tmp_path):
     schema6 = TableSchema.create("w", [(f"c{i}", ColumnType.INT64, False) for i in range(6)])
     rows = [tuple(i * 6 + j for j in range(6)) for i in range(20_000)]
-    write_stripes(rows, schema6, tmp_path / "w.stp", stripe_size=5_000)
-    full = scan_stripes(tmp_path / "w.stp", schema6)
-    collect(full)
-    one = scan_stripes(tmp_path / "w.stp", schema6, projection=[2])
-    got = collect(one)
+    write_file(rows, schema6, tmp_path / "w.stp", stripe_size=5_000)
+    _, _, full = scan_file(tmp_path / "w.stp", schema6)
+    got, _, one = scan_file(tmp_path / "w.stp", schema6, projection=[2])
     assert got == [(r[2],) for r in rows]
-    assert one.stats.bytes_read < full.stats.bytes_read / 3
+    assert one.bytes_read < full.bytes_read / 3
 
 
 def test_metadata_count_equals_brute_force(tmp_path):
     rows = make_rows(7_777, seed=2)
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=900)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=900)
     footer = read_footer(tmp_path / "p.stp")
     assert sum(s.row_count for s in footer.stripes) == len(rows)
 
@@ -250,7 +238,7 @@ def test_string_bound_truncation_sound(tmp_path):
     long_lo = "a" * 100
     long_hi = "z" * 100
     rows = [(1, long_lo, 1.0, 0), (2, long_hi, 1.0, 0)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10)
     footer = read_footer(tmp_path / "p.stp")
     st_col = footer.stripes[0].columns[1]
     assert st_col.min == "a" * 32 and st_col.min_truncated
@@ -258,8 +246,8 @@ def test_string_bound_truncation_sound(tmp_path):
     # a literal above the truncated max must NOT prune (max acts as +inf)
     mask = prune_stripes(footer, [Conjunct(1, "=", "z" * 100)])
     assert mask == [True]
-    got = collect(scan_stripes(tmp_path / "p.stp", SCHEMA,
-                               predicate=[Conjunct(1, "=", long_hi)]))
+    got = scan_file(tmp_path / "p.stp", SCHEMA,
+                    predicate=[Conjunct(1, "=", long_hi)])[0]
     assert got == [(2, long_hi, 1.0, 0)]
     # below the (exact-prefix) min still prunes
     mask = prune_stripes(footer, [Conjunct(1, "=", "a" * 10)])
@@ -268,16 +256,16 @@ def test_string_bound_truncation_sound(tmp_path):
 
 def test_nan_never_pruned(tmp_path):
     rows = [(1, "x", float("nan"), 0), (2, "x", 5.0, 0)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=10)
     # NaN satisfies != ; pruning must keep the stripe even though min==max==5
-    got = collect(scan_stripes(tmp_path / "p.stp", SCHEMA,
-                               predicate=[Conjunct(2, "!=", 5.0)]))
+    got = scan_file(tmp_path / "p.stp", SCHEMA,
+                    predicate=[Conjunct(2, "!=", 5.0)])[0]
     assert len(got) == 1 and math.isnan(got[0][2])
 
 
 def test_inspect_dump_contains_stats(tmp_path):
     rows = [(i, "x", float(i), 0) for i in range(100)]
-    write_stripes(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
+    write_file(rows, SCHEMA, tmp_path / "p.stp", stripe_size=50)
     text = dump_footer(tmp_path / "p.stp")
     assert "stripes: 2" in text
     assert "min=0" in text and "max=49" in text
@@ -304,11 +292,11 @@ _row = st.tuples(_val, _str_val, _float_val, _date_val)
        stripe_size=st.integers(min_value=1, max_value=97))
 def test_property_round_trip(tmp_path_factory, rows, stripe_size):
     path = tmp_path_factory.mktemp("prop") / "p.stp"
-    write_stripes(rows, SCHEMA, path, stripe_size=stripe_size)
+    write_file(rows, SCHEMA, path, stripe_size=stripe_size)
     footer = read_footer(path)
     expected_stripes = -(-len(rows) // stripe_size) if rows else 0
     assert len(footer.stripes) == expected_stripes
-    got = collect(scan_stripes(path, SCHEMA))
+    got = scan_file(path, SCHEMA)[0]
     assert rows_equal(got, rows)
 
 
@@ -322,9 +310,9 @@ def test_property_round_trip(tmp_path_factory, rows, stripe_size):
 def test_property_prune_soundness(tmp_path_factory, keys, op, lit, stripe_size):
     rows = [(k, "s", float(k), k) for k in sorted(keys)]
     path = tmp_path_factory.mktemp("prop2") / "p.stp"
-    write_stripes(rows, SCHEMA, path, stripe_size=stripe_size)
+    write_file(rows, SCHEMA, path, stripe_size=stripe_size)
     pred = [Conjunct(0, op, lit)]
-    got = collect(scan_stripes(path, SCHEMA, predicate=pred, prune=True))
+    got = scan_file(path, SCHEMA, predicate=pred, prune=True)[0]
     expected = [r for r in rows if row_passes(pred, r)]
     assert rows_equal(got, expected)
 
@@ -338,7 +326,7 @@ def settle():
 
 def write_const(path, value, n=100):
     """A stripe file whose INT64 column holds ``value`` in every row."""
-    write_stripes([(value, "x", 1.0, 0)] * n, SCHEMA, path, stripe_size=50)
+    write_file([(value, "x", 1.0, 0)] * n, SCHEMA, path, stripe_size=50)
 
 
 def min_a(footer):
