@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as benchmod
@@ -42,6 +43,14 @@ def _root(args) -> Path:
     return root
 
 
+def _layout(table: list[list[str]]) -> str:
+    """Right-aligned columns of cell texts; the first row is the header."""
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    lines = ["  ".join(s.rjust(w) for s, w in zip(row, widths)) for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
 def _format_result(result: ResultTable) -> str:
     def cell(v, t):
         if v is None:
@@ -52,16 +61,22 @@ def _format_result(result: ResultTable) -> str:
             return f"{v:.6g}"
         return str(v)
 
-    table = [list(result.columns)] + [
+    return _layout([list(result.columns)] + [
         [cell(v, t) for v, t in zip(row, result.types)] for row in result.rows
-    ]
-    widths = [max(len(r[i]) for r in table) for i in range(len(result.columns))]
-    lines = []
-    for k, row in enumerate(table):
-        lines.append("  ".join(s.rjust(w) for s, w in zip(row, widths)))
-        if k == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    ])
+
+
+def _add_exec_options(p: argparse.ArgumentParser) -> None:
+    default = ExecConfig()
+    p.add_argument("--executors", type=int, default=default.executors)
+    p.add_argument("--cores", type=int, default=default.cores_per_executor)
+    p.add_argument("--mem-rows", type=int, default=default.executor_mem_rows)
+    p.add_argument("--no-prune", action="store_true")
+
+
+def _exec_config(args) -> ExecConfig:
+    return ExecConfig(executors=args.executors, executor_mem_rows=args.mem_rows,
+                      cores_per_executor=args.cores)
 
 
 def cmd_gen(args) -> int:
@@ -140,11 +155,7 @@ def cmd_ingest(args) -> int:
 def cmd_query(args) -> int:
     root = _root(args)
     cat = Catalog(root)
-    config = ExecConfig(
-        executors=args.executors,
-        executor_mem_rows=args.mem_rows,
-        cores_per_executor=args.cores,
-    )
+    config = _exec_config(args)
     query = compile_text(args.sql, cat)
     p = plan(query, cat, config, prune=not args.no_prune)
     result, metrics = Engine(root).execute(p, config)
@@ -169,8 +180,7 @@ def cmd_explain(args) -> int:
     root = _root(args)
     cat = Catalog(root)
     query = compile_text(args.sql, cat)
-    config = ExecConfig(executors=args.executors, executor_mem_rows=args.mem_rows,
-                        cores_per_executor=args.cores)
+    config = _exec_config(args)
     p = plan(query, cat, config, prune=not args.no_prune)
     print(f"query: {query.text}")
     print(f"stages ({len(p.stages)}):")
@@ -197,8 +207,7 @@ def cmd_explain(args) -> int:
     print(f"  {'E':>3} {'total':>12} {'startup':>10} {'compute':>10} "
           f"{'shuffle':>10} {'coord':>10}")
     for e in (1, 2, 4, 8, 16, 32):
-        cfg = ExecConfig(executors=e, executor_mem_rows=args.mem_rows,
-                         cores_per_executor=args.cores)
+        cfg = replace(config, executors=e)
         pe = plan(query, cat, cfg, prune=not args.no_prune)
         c = estimate_cost(pe, cfg, DEFAULT_COSTS)
         print(
@@ -256,13 +265,8 @@ def cmd_client(args) -> int:
     if resp.get("type") != "result":
         print(f"{resp.get('code')}: {resp.get('message')}", file=sys.stderr)
         return 1
-    cols = resp["columns"]
-    table = [cols] + [[str(v) if v is not None else "NULL" for v in r] for r in resp["rows"]]
-    widths = [max(len(r[i]) for r in table) for i in range(len(cols))]
-    for k, row in enumerate(table):
-        print("  ".join(s.rjust(w) for s, w in zip(row, widths)))
-        if k == 0:
-            print("  ".join("-" * w for w in widths))
+    print(_layout([resp["columns"]] + [[str(v) if v is not None else "NULL" for v in r]
+                                       for r in resp["rows"]]))
     m = resp["metrics"]
     print(f"-- {m['response_time_s']:.3f}s rows_read={m['rows_read']}")
     return 0
@@ -325,10 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run a SQL query")
     p.add_argument("-e", dest="sql", required=True)
-    p.add_argument("--executors", type=int, default=8)
-    p.add_argument("--cores", type=int, default=3)
-    p.add_argument("--mem-rows", type=int, default=1_000_000)
-    p.add_argument("--no-prune", action="store_true")
+    _add_exec_options(p)
     p.add_argument("--format", choices=["rowtext", "stripe"], default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--root", default=None)
@@ -336,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="show plan stages, pruning, and cost table")
     p.add_argument("-e", dest="sql", required=True)
-    p.add_argument("--executors", type=int, default=8)
-    p.add_argument("--cores", type=int, default=3)
-    p.add_argument("--mem-rows", type=int, default=1_000_000)
-    p.add_argument("--no-prune", action="store_true")
+    _add_exec_options(p)
     p.add_argument("--format", choices=["rowtext", "stripe"], default=None)
     p.add_argument("--root", default=None)
     p.set_defaults(fn=cmd_explain)
@@ -360,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", required=True)
     p.add_argument("--token", required=True)
     p.add_argument("-e", dest="sql", required=True)
-    p.add_argument("--executors", type=int, default=8)
-    p.add_argument("--cores", type=int, default=3)
-    p.add_argument("--mem-rows", type=int, default=1_000_000)
-    p.add_argument("--no-prune", action="store_true")
+    _add_exec_options(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_client)
 

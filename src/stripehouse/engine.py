@@ -503,8 +503,7 @@ class Engine:
         if plan.is_metadata_count:
             op = plan.stages[0][0]
             total = 0
-            for path in op.paths:
-                footer = stripefile.cached_footer(path)
+            for footer in (plan.footers[path] for path in op.paths):
                 total += footer.row_count
                 metrics.bytes_read += footer.bytes_read
                 metrics.stripes_total += len(footer.stripes)

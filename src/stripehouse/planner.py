@@ -18,14 +18,14 @@ Blanas et al., SIGMOD 2010). Otherwise both sides are hash-shuffled to
 R buckets and each bucket is joined on its own. Both shapes run the same
 sort-based join kernel in the engine.
 
-Stripe pruning is decided here, once: ``_scan_op`` takes each partition's
+Stripe pruning is decided here, once: ``_footers`` takes each partition's
 footer from the process-wide footer cache (``stripefile.cached_footer``,
-which parses a footer again only when its file changed), raises
-``TypeMismatch`` unless the file's column types are the table's, and keeps
-the stripes ``stripefile.prune_stripes`` keeps. The plan carries those
-footers, so the engine reads stripes by the footer the plan pruned with. A
-scan has one task per kept stripe (STRIPE) or per partition file
-(ROWTEXT). Reducer count R = executors * cores.
+which parses a footer again only when its file changed) and raises
+``TypeMismatch`` unless the file's column types are the table's;
+``_scan_op`` keeps the stripes ``stripefile.prune_stripes`` keeps. The plan
+carries those footers: the engine reads stripes by them, and MetadataCount
+sums their row counts. A scan has one task per kept stripe (STRIPE) or per
+partition file (ROWTEXT). Reducer count R = executors * cores.
 
 The cost model is advisory and never gates execution::
 
@@ -208,6 +208,18 @@ def _needed_columns(query: ResolvedQuery, side: int) -> list[int]:
     return sorted(need)
 
 
+def _footers(entry: TableEntry, footers: dict) -> list:
+    """The footers of a STRIPE table's partitions, kept in ``footers`` by
+    path; the engine reads each chunk as the catalog's type says."""
+    types = [c.ctype for c in entry.schema.columns]
+    for part in entry.partitions:
+        if part.path not in footers:
+            footers[part.path] = stripefile.cached_footer(part.path)
+        if [c.ctype for c in footers[part.path].schema.columns] != types:
+            raise TypeMismatch(f"{part.path}: file schema does not match the table's")
+    return [footers[part.path] for part in entry.partitions]
+
+
 def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
              prune: bool, footers: dict) -> ScanOp:
     tasks: list[ScanTask] = []
@@ -215,14 +227,7 @@ def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
     if entry.format is StorageFormat.ROWTEXT:
         tasks = [ScanTask(part.path, None, part.row_count) for part in entry.partitions]
     else:
-        types = [c.ctype for c in entry.schema.columns]
-        for part in entry.partitions:
-            footer = footers.get(part.path)
-            if footer is None:
-                footer = footers[part.path] = stripefile.cached_footer(part.path)
-            # the engine reads each chunk as the catalog's type says
-            if [c.ctype for c in footer.schema.columns] != types:
-                raise TypeMismatch(f"{part.path}: file schema does not match the table's")
+        for part, footer in zip(entry.partitions, _footers(entry, footers)):
             kept = stripefile.prune_stripes(footer, conjuncts if prune else ())
             stripes_total += len(kept)
             stripes_pruned += kept.count(False)
@@ -257,6 +262,7 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         and query.aggregates[0].kind == "count_star"
         and entry0.format is StorageFormat.STRIPE
     ):
+        _footers(entry0, footers)
         op = MetadataCountOp(0, entry0.schema.table_name,
                              tuple(p.path for p in entry0.partitions))
         return PhysicalPlan(
@@ -266,6 +272,7 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
             stripes_total=0,
             stripes_pruned=0,
             groups_estimate=groups,
+            footers=footers,
         )
 
     if query.join_cols is None:

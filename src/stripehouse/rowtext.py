@@ -25,6 +25,16 @@ from .values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 DEFAULT_BATCH_ROWS = 4096
 READ_BLOCK_BYTES = 1 << 20
 EXTENSION = ".rtx"
+# a number or DATE field longer than this is parsed on its own, so that one
+# wide field does not widen every row's cell of a fixed-width array
+WIDE_FIELD = 64
+# per number or DATE type: the dtype astype parses a field to, the column's
+# dtype, and the parse of one field as astype parses it
+_PARSERS = {
+    ColumnType.INT64: (np.int64, np.int64, int),
+    ColumnType.FLOAT64: (np.float64, np.float64, float),
+    ColumnType.DATE: ("datetime64[D]", np.int64, lambda t: np.datetime64(t, "D").view(np.int64)),
+}
 
 
 def encode_column(col: C.Column, ctype: ColumnType) -> list[str]:
@@ -51,7 +61,9 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     ``fields`` is a list of ``str``; for a STRING column it may also be a
     ``StrColumn`` of the fields' bytes, and for a number or DATE column an
     ``S`` array of ASCII fields holding no NUL byte (so each element is its
-    field's whole text, which numpy parses as it parses the ``str``).
+    field's whole text, which numpy parses as it parses the ``str``). A list
+    with a field wider than ``WIDE_FIELD`` is parsed field by field, to the
+    same values.
     For the first unparsable field, or INT64 outside int64 or DATE outside
     years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
     returns, so each caller reports the position its own way.
@@ -61,42 +73,35 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
             fields = C.strings_column(fields, None)
         valid = np.diff(fields.offsets) != 0
         return C.StrColumn(fields.offsets, fields.buf, None if valid.all() else valid)
-    u = np.asarray(fields)
-    valid = u != u.dtype.type()
-    all_valid = bool(valid.all())
-    if not all_valid:
-        u = np.where(valid, u, u.dtype.type("1970-01-01" if ctype is ColumnType.DATE else "0"))
+    parsed, dtype, parse = _PARSERS[ctype]
     try:
-        if isinstance(fields, list) and "\x00" in "".join(fields):
-            raise ValueError  # astype would drop a trailing NUL: parse field by field
-        if ctype is ColumnType.INT64:
-            data = u.astype(np.int64)
-        elif ctype is ColumnType.FLOAT64:
-            data = u.astype(np.float64)
-        else:
-            data = u.astype("datetime64[D]").astype(np.int64)
-    except (ValueError, OverflowError):
+        if isinstance(fields, list) and (max(map(len, fields), default=0) > WIDE_FIELD
+                                         or "\x00" in "".join(fields)):
+            raise ValueError  # astype would widen every cell, or drop a trailing NUL
+        u = np.asarray(fields)
+        valid = u != u.dtype.type()
+        if not valid.all():
+            u = np.where(valid, u, u.dtype.type("1970-01-01" if ctype is ColumnType.DATE else "0"))
+        data = u.astype(parsed).view(dtype)
+    except (ValueError, OverflowError):  # parse field by field, in memory linear in the text
+        data, valid = np.zeros(len(fields), dtype), np.ones(len(fields), bool)
         for j, text in enumerate(map(_text, fields)):
             if text == "":
+                valid[j] = False
                 continue
             try:
-                if ctype is ColumnType.INT64:
-                    value = int(text)
-                elif ctype is ColumnType.FLOAT64:
-                    float(text)
-                else:
-                    np.datetime64(text, "D")
+                value = parse(text)
             except (ValueError, OverflowError):
                 raise bad_field(j, f"unparsable {ctype.value} value {text!r}") from None
             if ctype is ColumnType.INT64 and not INT64_MIN <= value <= INT64_MAX:
                 raise bad_field(j, f"INT64 value {text!r} out of range")
-        raise
+            data[j] = value
     if ctype is ColumnType.DATE:
         outside = np.flatnonzero((data < DAYS_MIN) | (data > DAYS_MAX))
         if len(outside):
             j = int(outside[0])
             raise bad_field(j, f"DATE value {_text(fields[j])!r} outside years 1-9999")
-    return C.NumColumn(data, None if all_valid else valid)
+    return C.NumColumn(data, None if valid.all() else valid)
 
 
 def _text(field) -> str:
@@ -233,8 +238,10 @@ class _RowtextScan:
 
 def _gather(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """The fields ``a[starts[r]:][:lengths[r]]`` as one ``S<width>`` array, or
-    None when one holds a non-ASCII byte."""
+    None when one holds a non-ASCII byte or is wider than ``WIDE_FIELD``."""
     width = max(int(lengths.max()), 1)
+    if width > WIDE_FIELD:
+        return None
     g = C.padded(a, starts, lengths, width)
     if g.max() >= 0x80:
         return None

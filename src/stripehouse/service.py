@@ -8,7 +8,8 @@ by a UTF-8 JSON body, 16 MiB max. Request types: ``hello`` (user/token),
 Authorization is per-table allow/deny with deny-overrides and default
 deny: a query runs only when every referenced table has a matching ALLOW
 and no matching DENY. ``*`` matches any table. A rules file whose effect is
-not exactly ``ALLOW`` or ``DENY`` is rejected.
+not exactly ``ALLOW`` or ``DENY``, or any of whose fields is not a JSON
+string, is rejected, and so is a users file with a non-string field.
 
 Each query request stats ``catalog.json`` once and re-reads it when its
 mtime or size changed, so partitions ingested while the server runs are
@@ -16,14 +17,18 @@ visible to the next query. Stripe footers come from
 ``stripefile.cached_footer``, shared by every session, which parses a
 footer again whenever its file's stamp changed.
 
-A query request may set ``executors``, ``cores`` and ``mem_rows`` (plain
-JSON integers, at most ``MAX_SLOTS`` executor x core slots and
-``MAX_MEM_ROWS`` rows a budget) and ``prune`` (a JSON bool); anything else
-is refused with ``BAD_REQUEST`` before the query is planned.
+A request field of the wrong JSON type (``typed_field``; a bool is no
+integer) is refused with ``BAD_REQUEST``, and so is a query request whose
+``executors`` x ``cores`` exceeds ``MAX_SLOTS`` or whose ``mem_rows``
+exceeds ``MAX_MEM_ROWS``, before the query is planned.
 
-Every request appends one audit record (newline-delimited JSON, flushed
-and fsynced) before its response is sent; if the audit write fails the
-request fails closed.
+One record per frame: every frame, unreadable ones included, gets one
+audit record (newline-delimited JSON, flushed and fsynced) and then one
+response, ``ok``, ``result`` or a typed ``error``. If the audit write fails
+the request fails closed: no response, and the session ends. A session
+also ends after answering an unreadable frame (or a body that is not a
+JSON object), an unknown type, a query or grant before ``hello``, and bad
+credentials.
 """
 
 from __future__ import annotations
@@ -102,6 +107,36 @@ def send_frame(sock: socket.socket, body: dict) -> None:
     sock.sendall(encode_frame(body))
 
 
+# --- typed requests ---
+
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a float",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+class Refusal(Exception):
+    """A request answered with ``error{code, message}`` and audited with
+    ``decision``; ``user``, when set, is the audit record's user."""
+
+    def __init__(self, code: str, decision: str, message: str, user: str | None = None):
+        super().__init__(message)
+        self.code, self.decision, self.message, self.user = code, decision, message, user
+
+
+def typed_field(doc: dict, name: str, kind: type, default=None):
+    """``doc[name]``, or ``default`` when absent (refused when there is no
+    default); refuses a value whose JSON type is not exactly ``kind``, so a
+    boolean is no integer."""
+    if name not in doc:
+        if default is None:
+            raise Refusal("BAD_REQUEST", "ERROR", f"missing field {name!r}")
+        return default
+    v = doc[name]
+    if type(v) is not kind:
+        raise Refusal("BAD_REQUEST", "ERROR",
+                      f"{name} must be {_JSON_TYPES[kind]}, not {_JSON_TYPES[type(v)]}")
+    return v
+
+
 # --- access rules ---
 
 @dataclass(frozen=True)
@@ -137,20 +172,14 @@ def load_rules(path) -> list[AccessRule]:
         return []
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-        rules = [
-            AccessRule(
-                user=r["user"],
-                table=r["table"],
-                action=r.get("action", "SELECT"),
-                effect=r["effect"],
-            )
-            for r in raw
-        ]
+        rules = [AccessRule(typed_field(r, "user", str), typed_field(r, "table", str),
+                            typed_field(r, "action", str, "SELECT"), typed_field(r, "effect", str))
+                 for r in raw]
         for r in rules:
             if r.effect not in (ALLOW, DENY):
                 raise ValueError(f"effect {r.effect!r} is not {ALLOW} or {DENY}")
         return rules
-    except (OSError, ValueError, TypeError, KeyError) as e:
+    except (OSError, ValueError, TypeError, Refusal) as e:
         raise InvalidConfig(f"cannot load rules from {path}: {type(e).__name__}: {e}") from e
 
 
@@ -174,9 +203,10 @@ class Credential:
 def load_users(path) -> dict[str, Credential]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return {u["user"]: Credential(u["user"], u["token"], u.get("role", "ANALYST"))
-                for u in raw}
-    except (OSError, ValueError, TypeError, KeyError) as e:
+        creds = [Credential(typed_field(u, "user", str), typed_field(u, "token", str),
+                            typed_field(u, "role", str, "ANALYST")) for u in raw]
+        return {c.user: c for c in creds}
+    except (OSError, ValueError, TypeError, Refusal) as e:
         raise InvalidConfig(f"cannot load users from {path}: {type(e).__name__}: {e}") from e
 
 
@@ -256,174 +286,136 @@ class ServiceConfig:
 
 
 def exec_options(req: dict) -> tuple[ExecConfig, bool]:
-    """The execution config and prune flag a query request asks for;
-    ValueError when an option is of the wrong JSON type or out of bounds."""
-    default = ExecConfig()
-    fields = {}
-    for name, field in (("executors", "executors"), ("cores", "cores_per_executor"),
-                        ("mem_rows", "executor_mem_rows")):
-        v = req.get(name, getattr(default, field))
-        if type(v) is not int:  # bool is an int subclass; refuse it too
-            raise ValueError(f"{name} must be an integer, not {v!r}")
-        fields[field] = v
-    prune = req.get("prune", True)
-    if type(prune) is not bool:
-        raise ValueError(f"prune must be true or false, not {prune!r}")
-    cfg = ExecConfig(**fields)
+    """The execution config and prune flag a query request asks for; refuses
+    an option of the wrong JSON type or out of bounds."""
+    d = ExecConfig()
+    try:
+        cfg = ExecConfig(
+            executors=typed_field(req, "executors", int, d.executors),
+            cores_per_executor=typed_field(req, "cores", int, d.cores_per_executor),
+            executor_mem_rows=typed_field(req, "mem_rows", int, d.executor_mem_rows))
+    except ValueError as e:  # an option below 1
+        raise Refusal("BAD_REQUEST", "ERROR", str(e)) from None
+    prune = typed_field(req, "prune", bool, True)
     if cfg.slots > MAX_SLOTS:
-        raise ValueError(f"executors x cores = {cfg.slots} exceeds {MAX_SLOTS}")
+        raise Refusal("BAD_REQUEST", "ERROR", f"executors x cores = {cfg.slots} exceeds {MAX_SLOTS}")
     if cfg.executor_mem_rows > MAX_MEM_ROWS:
-        raise ValueError(f"mem_rows {cfg.executor_mem_rows} exceeds {MAX_MEM_ROWS}")
+        raise Refusal("BAD_REQUEST", "ERROR",
+                      f"mem_rows {cfg.executor_mem_rows} exceeds {MAX_MEM_ROWS}")
     return cfg, prune
 
 
+def _sql_detail(req: dict) -> str:
+    sql = req.get("sql", "")
+    return sql if isinstance(sql, str) else json.dumps(sql)
+
+
+def _rule_detail(req: dict) -> str:
+    return json.dumps(req.get("rule", {}), separators=(",", ":"), sort_keys=True)
+
+
+# request type: audit action, the request's audit detail, handler method, needs hello
+_ROUTES = {
+    "ping": ("PING", lambda req: "ping", "_ping", False),
+    "hello": ("AUTH", lambda req: "hello", "_hello", False),
+    "query": ("QUERY", _sql_detail, "_query", True),
+    "grant": ("GRANT", _rule_detail, "_grant", True),
+    "deny": ("DENY", _rule_detail, "_grant", True),
+}
+
+
 class _Handler(socketserver.BaseRequestHandler):
+    """One session. ``handle`` routes each frame by its ``type`` to a handler
+    that returns the response body or raises ``Refusal``, then appends the
+    frame's one audit record and sends its one response. A handler takes the
+    session's server, socket, engine and user, the request and its arrival
+    time: perfbench's tracer wraps ``_query`` by that signature."""
+
     def handle(self):
         server: StripehouseServer = self.server.owner
-        user: str | None = None
-        role: str | None = None
         engine = Engine(server.config.data_root)
         sock = self.request
+        self.user = self.role = None
         while True:
             try:
                 req = recv_frame(sock)
-            except (ValueError, json.JSONDecodeError, OSError):
-                self._safe_error(sock, "BAD_REQUEST", "unreadable frame")
-                return
-            if req is None:
-                return
-            t0 = time.perf_counter()
-            rtype = req.get("type")
-            try:
-                if rtype == "ping":
-                    server.audit.append(user=user or "-", action="PING", detail="ping",
-                                        decision=ALLOWED, duration_s=time.perf_counter() - t0)
-                    send_frame(sock, {"type": "ok"})
-                elif rtype == "hello":
-                    user, role = self._hello(server, sock, req, t0)
-                    if user is None:
-                        return
-                elif rtype == "query":
-                    if user is None:
-                        self._auth_fail(server, sock, "-", "query before hello", t0)
-                        return
-                    self._query(server, sock, engine, user, req, t0)
-                elif rtype in ("grant", "deny"):
-                    if user is None:
-                        self._auth_fail(server, sock, "-", f"{rtype} before hello", t0)
-                        return
-                    self._grant_deny(server, sock, user, role, rtype, req, t0)
-                else:
-                    server.audit.append(user=user or "-", action="ERROR",
-                                        detail=f"unknown request type {rtype!r}",
-                                        decision="ERROR",
-                                        duration_s=time.perf_counter() - t0)
-                    send_frame(sock, {"type": "error", "code": "BAD_REQUEST",
-                                      "message": f"unknown request type {rtype!r}"})
+                if req is None:
                     return
-            except IoFailure:
-                # fail closed: no audit record, no response
-                return
+            except (ValueError, RecursionError):  # a bad length, UTF-8 or JSON body
+                req = None
             except OSError:
                 return
+            t0 = time.perf_counter()
+            action, detail, user, last = "ERROR", None, self.user, True
+            try:
+                if not isinstance(req, dict):
+                    raise Refusal("BAD_REQUEST", "ERROR", "unreadable frame")
+                rtype = req.get("type")
+                if not isinstance(rtype, str) or rtype not in _ROUTES:
+                    raise Refusal("BAD_REQUEST", "ERROR", f"unknown request type {rtype!r}")
+                action, detail_of, method, needs_hello = _ROUTES[rtype]
+                detail = detail_of(req)
+                if needs_hello and user is None:
+                    raise Refusal("AUTH", DENIED, f"{rtype} before hello")
+                last = False
+                body = getattr(self, method)(server, sock, engine, user, req, t0)
+                decision, user = ALLOWED, self.user
+            except Refusal as e:
+                if e.code == "AUTH":  # a failed or missing hello ends the session
+                    action, detail, last = "AUTH_FAIL", e.message, True
+                elif detail is None:  # refused before routing
+                    detail = e.message
+                decision, user = e.decision, e.user or user
+                body = {"type": "error", "code": e.code, "message": e.message}
+            try:
+                server.audit.append(user=user or "-", action=action, detail=detail,
+                                    decision=decision, duration_s=time.perf_counter() - t0)
+                send_frame(sock, body)
+            except (IoFailure, OSError):
+                return  # fail closed: a request the audit missed gets no response
+            if last:
+                return
 
-    def _safe_error(self, sock, code, message):
-        try:
-            send_frame(sock, {"type": "error", "code": code, "message": message})
-        except OSError:
-            pass
+    def _ping(self, server, sock, engine, user, req, t0):
+        return {"type": "ok"}
 
-    def _auth_fail(self, server, sock, user, detail, t0):
-        server.audit.append(user=user, action="AUTH_FAIL", detail=detail,
-                            decision=DENIED, duration_s=time.perf_counter() - t0)
-        send_frame(sock, {"type": "error", "code": "AUTH", "message": detail})
-
-    def _hello(self, server, sock, req, t0):
-        user = req.get("user", "")
-        token = req.get("token", "")
-        cred = server.users.get(user)
-        ok = cred is not None and hmac.compare_digest(cred.token, str(token))
-        if not ok:
-            self._auth_fail(server, sock, user or "-", "bad credentials", t0)
-            return None, None
-        server.audit.append(user=user, action="AUTH", detail="hello",
-                            decision=ALLOWED, duration_s=time.perf_counter() - t0)
-        send_frame(sock, {"type": "ok", "role": cred.role})
-        return user, cred.role
+    def _hello(self, server, sock, engine, user, req, t0):
+        name = typed_field(req, "user", str, "")
+        token = typed_field(req, "token", str, "")
+        cred = server.users.get(name)
+        if cred is None or not hmac.compare_digest(cred.token.encode(), token.encode()):
+            raise Refusal("AUTH", DENIED, "bad credentials", user=name or "-")
+        self.user, self.role = name, cred.role
+        return {"type": "ok", "role": cred.role}
 
     def _query(self, server, sock, engine, user, req, t0):
-        sql = req.get("sql", "")
+        sql = typed_field(req, "sql", str, "")
         try:
             catalog = server.catalog()
             query = compile_text(sql, catalog)
         except StripehouseError as e:
-            server.audit.append(user=user, action="QUERY", detail=sql,
-                                decision="ERROR", duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "QUERY",
-                              "message": f"{type(e).__name__}: {e}"})
-            return
-        decision = authorize(user, query.table_names, server.rules())
-        if decision != ALLOWED:
-            server.audit.append(user=user, action="QUERY", detail=sql,
-                                decision=DENIED, duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "DENIED",
-                              "message": f"access denied on {'/'.join(query.table_names)}"})
-            return
-        try:
-            cfg, prune = exec_options(req)
-        except ValueError as e:
-            server.audit.append(user=user, action="QUERY", detail=sql,
-                                decision="ERROR", duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "BAD_REQUEST",
-                              "message": f"bad execution options: {e}"})
-            return
+            raise Refusal("QUERY", "ERROR", f"{type(e).__name__}: {e}") from None
+        if authorize(user, query.table_names, server.rules()) != ALLOWED:
+            raise Refusal("DENIED", DENIED, f"access denied on {'/'.join(query.table_names)}")
+        cfg, prune = exec_options(req)
         try:
             p = plan(query, catalog, cfg, prune=prune)
             result, metrics = engine.execute(p, cfg)
         except Exception as e:  # the session outlives any one query's failure
             if not isinstance(e, StripehouseError):
                 traceback.print_exc()
-            server.audit.append(user=user, action="QUERY", detail=sql,
-                                decision="ERROR", duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "QUERY",
-                              "message": f"{type(e).__name__}: {e}"})
-            return
-        server.audit.append(user=user, action="QUERY", detail=sql,
-                            decision=ALLOWED, duration_s=time.perf_counter() - t0)
-        send_frame(sock, {
-            "type": "result",
-            "columns": list(result.columns),
-            "rows": result.json_rows(),
-            "metrics": metrics.to_dict(),
-        })
+            raise Refusal("QUERY", "ERROR", f"{type(e).__name__}: {e}") from None
+        return {"type": "result", "columns": list(result.columns),
+                "rows": result.json_rows(), "metrics": metrics.to_dict()}
 
-    def _grant_deny(self, server, sock, user, role, rtype, req, t0):
-        action = rtype.upper()
-        rule_doc = req.get("rule", {})
-        detail = json.dumps(rule_doc, separators=(",", ":"), sort_keys=True)
-        if role != "ADMIN":
-            server.audit.append(user=user, action=action, detail=detail,
-                                decision=DENIED, duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "DENIED",
-                              "message": "ADMIN role required"})
-            return
-        try:
-            rule = AccessRule(
-                user=rule_doc["user"],
-                table=rule_doc["table"],
-                action=rule_doc.get("action", "SELECT"),
-                effect=ALLOW if rtype == "grant" else DENY,
-            )
-        except KeyError as e:
-            server.audit.append(user=user, action=action, detail=detail,
-                                decision="ERROR", duration_s=time.perf_counter() - t0)
-            send_frame(sock, {"type": "error", "code": "BAD_REQUEST",
-                              "message": f"rule missing field {e}"})
-            return
-        server.add_rule(rule)
-        server.audit.append(user=user, action=action, detail=detail,
-                            decision=ALLOWED, duration_s=time.perf_counter() - t0)
-        send_frame(sock, {"type": "ok"})
+    def _grant(self, server, sock, engine, user, req, t0):
+        if self.role != "ADMIN":
+            raise Refusal("DENIED", DENIED, "ADMIN role required")
+        doc = typed_field(req, "rule", dict, {})
+        server.add_rule(AccessRule(typed_field(doc, "user", str), typed_field(doc, "table", str),
+                                   typed_field(doc, "action", str, "SELECT"),
+                                   ALLOW if req["type"] == "grant" else DENY))
+        return {"type": "ok"}
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

@@ -158,7 +158,8 @@ def test_cli_serve_port_zero(tmp_path):
         proc.stdout.close()
 
 
-@pytest.mark.parametrize("users", [None, "{", '[{"user": "a"}]'])
+@pytest.mark.parametrize("users", [None, "{", '[{"user": "a"}]',
+                                   '[{"user": "a", "token": 1234}]'])
 def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
     # fails while loading users.json, before any socket or server thread exists
     if users is not None:
@@ -172,6 +173,7 @@ def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
 @pytest.mark.parametrize("name, text", [
     ("rules.json", "{"), ("rules.json", '[{"user": "a"}]'),
     ("rules.json", '[{"user": "bob", "table": "encounter", "effect": "deny"}]'),
+    ("rules.json", '[{"user": "bob", "table": ["encounter"], "effect": "ALLOW"}]'),
     ("service.json", None), ("service.json", "[]"),
 ])
 def test_cli_serve_without_valid_rules_or_config(tmp_path, capsys, name, text):

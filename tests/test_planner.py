@@ -60,6 +60,8 @@ def test_metadata_count_plan(both_catalogs):
     assert p.is_metadata_count
     assert len(p.stages) == 1
     assert not any(isinstance(op, ScanOp) for op in p.ops())
+    # the engine sums the footers the plan checked
+    assert set(p.footers) == set(p.stages[0][0].paths)
 
 
 def test_metadata_shortcut_not_taken_with_predicate(both_catalogs):
@@ -181,7 +183,8 @@ def test_prune_tasks_contradictory_conjuncts(both_catalogs):
     assert scan.stripes_pruned == scan.stripes_total
 
 
-@pytest.mark.parametrize("sql", ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'"])
+@pytest.mark.parametrize("sql", ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'",
+                                 "SELECT COUNT(*) FROM t"])
 def test_plan_rejects_file_of_other_schema(mismatched_catalog, sql):
     # read as the catalog's INT64, the FLOAT64 file would answer MAX(a) = 2.5
     cat = mismatched_catalog

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from datetime import date
 from unittest import mock
 
@@ -195,6 +196,54 @@ def test_codec_round_trip(case):
     back = column_to_values(decode_column(texts, ctype, _not_expected))
     expected = [None if v == "" else v for v in values]
     assert [repr(v) for v in back] == [repr(v) for v in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DATE]).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.none() | VALUES[t], min_size=1, max_size=40))))
+def test_field_by_field_parse_is_bit_identical(case):
+    # the path a wide field takes gives the values astype gives
+    ctype, values = case
+    texts = encode_column(column_from_values(values, ctype), ctype)
+    vectorized = decode_column(texts, ctype, _not_expected)
+    with mock.patch.object(rowtext, "WIDE_FIELD", 0):
+        each = decode_column(texts, ctype, _not_expected)
+    assert vectorized.data.tobytes() == each.data.tobytes()
+    assert (vectorized.valid is None) == (each.valid is None)
+    if each.valid is not None:
+        assert (vectorized.valid == each.valid).all()
+
+
+WIDE_FLOAT = "0." + "0" * 8000 + "1"  # 8003 characters, a valid FLOAT64 field
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_field_decodes_in_bounded_memory():
+    # as a fixed-width array, 2000 rows of the widest field take 64 MB
+    fields = ["1.5"] * 2000
+    fields[7] = WIDE_FLOAT
+    col, peak = _peak_bytes(lambda: decode_column(fields, ColumnType.FLOAT64, _not_expected))
+    assert col.data[7] == float(WIDE_FLOAT) and col.data[0] == 1.5
+    assert peak < 2 << 20
+
+
+def test_wide_field_scans_in_bounded_memory(tmp_path):
+    schema = TableSchema.create("t", [("c", ColumnType.FLOAT64, True)])
+    path = tmp_path / "p.rtx"
+    path.write_text("1.5\n" * 7 + WIDE_FLOAT + "\n" + "2.5\n" * 4000)
+    batches, peak = _peak_bytes(lambda: [
+        column_to_values(cols[0]) for _, cols in scan_rowtext_columnar(path, schema, [0])])
+    values = [v for batch in batches for v in batch]
+    assert values == [1.5] * 7 + [float(WIDE_FLOAT)] + [2.5] * 4000
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("needed", [[], [0], [1], [0, 1, 2]])

@@ -2,6 +2,8 @@ import json
 import random
 import re
 import shutil
+import socket
+import struct
 import threading
 import time
 
@@ -17,13 +19,16 @@ from stripehouse.service import (
     DENIED,
     DENY,
     AccessRule,
+    AuditLog,
     Client,
     ServiceConfig,
     StripehouseServer,
     authorize,
     decode_frame,
     encode_frame,
+    recv_frame,
 )
+from stripehouse.errors import IoFailure
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.values import days_to_iso
 
@@ -449,7 +454,7 @@ def test_file_of_other_schema_is_audited_query_error(tmp_path, mismatched_catalo
     srv = StripehouseServer(ServiceConfig(
         data_root=mismatched_catalog.data_root, port=0, users_file=tmp_path / "users.json",
         rules_file=tmp_path / "rules.json", audit_file=tmp_path / "audit.log"))
-    bad = ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'"]
+    bad = ["SELECT MAX(a) FROM t", "SELECT COUNT(*) FROM t WHERE b = 'x'", "SELECT COUNT(*) FROM t"]
     srv.start()
     try:
         c = connect(srv)
@@ -463,5 +468,73 @@ def test_file_of_other_schema_is_audited_query_error(tmp_path, mismatched_catalo
     finally:
         srv.shutdown()
     records = [json.loads(line) for line in (tmp_path / "audit.log").read_text().splitlines()]
-    assert [(r["action"], r["decision"], r["detail"]) for r in records[-3:]] == [
+    assert [(r["action"], r["decision"], r["detail"]) for r in records[-4:]] == [
         *(("QUERY", "ERROR", sql) for sql in bad), ("QUERY", ALLOWED, "SELECT MAX(a) FROM u")]
+
+
+def _case(name, hello, body, code="BAD_REQUEST"):
+    """A frame of ``body`` (bytes, or a request to encode), sent after an
+    optional hello, and the error code it must get."""
+    blob = body if isinstance(body, bytes) else json.dumps(body).encode()
+    return pytest.param(hello, struct.pack(">I", len(blob)) + blob, code, id=name)
+
+
+ALICE = {"type": "hello", "user": "alice", "token": "s3cret"}
+
+
+@pytest.mark.parametrize("hello, frame, code", [
+    # unreadable frames, each answered before the session ends
+    _case("list-body", False, b"[1, 2]"),
+    _case("number-body", True, b"7"),
+    _case("bad-json", False, b"{"),
+    _case("bad-utf8", True, b'{"type": "ping", "x": "\xff"}'),
+    _case("deep-nesting", False, b"[" * 100_000),
+    pytest.param(True, struct.pack(">I", 16 * 1024 * 1024 + 1), "BAD_REQUEST", id="oversized"),
+    # fields of the wrong JSON type, and rule fields missing
+    _case("type-list", True, {"type": ["query"], "sql": "SELECT COUNT(*) FROM t"}),
+    _case("sql-number", True, {"type": "query", "sql": 123}),
+    _case("sql-null", True, {"type": "query", "sql": None}),
+    _case("hello-user-list", False, {"type": "hello", "user": ["alice"], "token": "s3cret"}),
+    _case("hello-token-number", False, {"type": "hello", "user": "alice", "token": 1234}),
+    _case("hello-token-non-ascii", False, {**ALICE, "token": "s3cr\u00e9t"}, "AUTH"),
+    _case("grant-rule-list", True, {"type": "grant", "rule": ["x"]}),
+    _case("grant-user-list", True, {"type": "grant", "rule": {"user": ["x"], "table": "t"}}),
+    _case("deny-table-number", True, {"type": "deny", "rule": {"user": "bob", "table": 5}}),
+    _case("grant-missing-table", True, {"type": "grant", "rule": {"user": "bob"}}),
+])
+def test_malformed_frame_gets_one_record_and_typed_error(server, hello, frame, code):
+    audit, rules = server.config.audit_file, server.config.rules_file
+    before, rules_before = audit.read_text().splitlines(), rules.read_text()
+    with socket.create_connection(server.address, timeout=30) as sock:
+        if hello:
+            sock.sendall(encode_frame(ALICE))
+            assert recv_frame(sock)["type"] == "ok"
+        sock.sendall(frame)
+        resp = recv_frame(sock)
+    assert resp["type"] == "error" and resp["code"] == code, resp
+    assert set(resp) == {"type", "code", "message"}
+    records = [json.loads(line) for line in audit.read_text().splitlines()[len(before):]]
+    assert len(records) == 1 + hello
+    last = records[-1]
+    assert set(last) == set(AuditLog.FIELDS)
+    assert last["decision"] == ("DENIED" if code == "AUTH" else "ERROR")
+    assert last["user"] == ("alice" if hello or code == "AUTH" else "-")
+    assert rules.read_text() == rules_before
+    # the server still answers a fresh session
+    c = connect(server)
+    assert c.hello("alice", "s3cret")["type"] == "ok"
+    assert c.query("SELECT COUNT(*) FROM lab_procedure")["rows"] == [[100_000]]
+    c.close()
+
+
+def test_audit_failure_fails_closed(server, monkeypatch):
+    c = connect(server)
+    assert c.hello("alice", "s3cret")["type"] == "ok"
+
+    def fail(self, **record):
+        raise IoFailure("audit append failed: disk full")
+
+    monkeypatch.setattr(AuditLog, "append", fail)
+    with pytest.raises(IoFailure, match="connection closed by server"):
+        c.query("SELECT COUNT(*) FROM lab_procedure")
+    c.close()
