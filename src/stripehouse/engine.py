@@ -5,9 +5,9 @@ stage are independent. Each op's output goes to one map keyed by op and
 task (or bucket). Every plan ends in one AggFinal task that merges the
 partial groups in task order.
 
-Every query and every ``Engine`` share one pool of ``os.cpu_count()``
-worker threads, made on the first query that needs it (morsel-driven
-scheduling, Leis et al., SIGMOD 2014). A query runs at most
+Every query and every ``Engine`` share one pool of ``os.cpu_count() - 1``
+worker threads (at least one), made on the first query that needs it
+(morsel-driven scheduling, Leis et al., SIGMOD 2014). A query runs at most
 ``min(config.slots, os.cpu_count())`` tasks at once: the calling thread
 and that many less one pool lanes pull a stage's tasks from one shared
 iterator, so a bound of 1 runs the query inline. ``config.slots`` still
@@ -24,11 +24,13 @@ A join runs in one of two shapes (the planner picks):
   contend; buckets past the per-executor row budget spill to
   ``<root>/shuffle/``. Each bucket prepares its own build side.
 
-One path per job: both join shapes run one sort-based kernel for every key
-type, ``_prepare_build`` (stable argsort, then the distinct keys with their
-run starts and lengths) and ``_probe`` (one searchsorted of the sorted
-probe keys into the distinct keys); shuffle buckets and aggregation groups
-are split by one row splitter (``_group_indices``); every aggregate state
+One path per job: both join shapes run one kernel for every key type,
+``_prepare_build`` (stable argsort, then the distinct keys with their run
+starts and lengths, plus a direct-address table when the keys are int64
+and dense) and ``_probe`` (each probe key's run from that table, or else
+from one searchsorted of the sorted probe keys into the distinct keys);
+shuffle buckets and aggregation groups are split by one row splitter
+(``_group_indices``, a radix sort for narrow group ids); every aggregate state
 but MIN/MAX merges by ``+``, and distinct values come from one sort-based
 ``_sorted_unique``.
 
@@ -345,7 +347,12 @@ def _group_indices(gid: np.ndarray, in_range: np.ndarray | None) -> dict[int, np
         g = gid
     if len(g) == 0:
         return {}
-    order = np.argsort(g, kind="stable")
+    lo = g.min()
+    if int(g.max()) - int(lo) < 2**15:
+        # numpy's stable sort of 16-bit ints is a radix sort, same permutation
+        order = np.argsort((g - lo).astype(np.int16), kind="stable")
+    else:
+        order = np.argsort(g, kind="stable")
     gs = g[order]
     bounds = np.flatnonzero(np.diff(gs)) + 1
     starts = np.concatenate(([0], bounds))
@@ -367,6 +374,12 @@ class _BuildSide:
     counts: np.ndarray  # the run's length
     order: np.ndarray   # build rows with a key, stably sorted by key
     cols: list          # build output columns, all rows
+    table: np.ndarray | None = None  # key - keys[0] -> run index, or -1
+
+
+# int64 build keys whose range spans at most 4 slots a distinct key, plus
+# 1024, get a direct-address table; the build's row budget bounds its size
+TABLE_SLOTS_PER_KEY, TABLE_SLOTS_SPARE = 4, 1024
 
 
 def _key_rows(col) -> np.ndarray | None:
@@ -393,7 +406,12 @@ def _prepare_build(key_col, cols: list) -> _BuildSide:
     new[1:] = skeys[1:] != skeys[:-1]
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, len(skeys)))
-    return _BuildSide(skeys[starts], starts, counts, order, cols)
+    dkeys, table = skeys[starts], None
+    span = int(dkeys[-1]) - int(dkeys[0]) + 1 if dkeys.dtype == np.int64 and len(dkeys) else 0
+    if 0 < span <= TABLE_SLOTS_PER_KEY * len(dkeys) + TABLE_SLOTS_SPARE:
+        table = np.full(span, -1, dtype=np.intp)
+        table[dkeys - dkeys[0]] = np.arange(len(dkeys))
+    return _BuildSide(dkeys, starts, counts, order, cols, table)
 
 
 def _probe(build: _BuildSide, key_col) -> tuple[np.ndarray, np.ndarray] | None:
@@ -407,22 +425,31 @@ def _probe(build: _BuildSide, key_col) -> tuple[np.ndarray, np.ndarray] | None:
         keys = keys[rows]
     if len(keys) == 0 or len(build.keys) == 0:
         return None
-    # one search, of the sorted probe keys; the scatter restores probe order
-    perm = np.argsort(keys)
-    pos = np.empty(len(keys), dtype=np.intp)
-    pos[perm] = np.searchsorted(build.keys, keys[perm], side="left")
-    np.minimum(pos, len(build.keys) - 1, out=pos)
+    # each key's candidate run; a key it does not match is no hit
+    if build.table is not None:
+        # clipped before the subtraction, so no key wraps; an absent key's
+        # -1 slot, or a clipped key, meets a run key it does not equal
+        lo, hi = build.keys[0], build.keys[-1]
+        pos = build.table[np.clip(keys, lo, hi) - lo]
+    else:
+        # one search, of the sorted probe keys; the scatter restores probe order
+        perm = np.argsort(keys)
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[perm] = np.searchsorted(build.keys, keys[perm], side="left")
+        np.minimum(pos, len(build.keys) - 1, out=pos)
     hit = np.flatnonzero(build.keys[pos] == keys)
     if len(hit) == 0:
         return None
     pos = pos[hit]
+    probe_rows = hit if rows is None else rows[hit]
+    if len(build.keys) == len(build.order):  # every build key once
+        return probe_rows, build.order[pos]
     counts = build.counts[pos]
     ends = np.cumsum(counts)
     # pair j of a run is build row order[start + j]
     shift = np.repeat(build.starts[pos] - (ends - counts), counts)
     build_rows = build.order[np.arange(int(ends[-1])) + shift]
-    probe_rows = np.repeat(hit if rows is None else rows[hit], counts)
-    return probe_rows, build_rows
+    return np.repeat(probe_rows, counts), build_rows
 
 
 # the pool every query shares; made on first use through the module attribute
@@ -436,7 +463,8 @@ def _shared_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS,
+            # the calling thread is always one lane, so the pool is one fewer
+            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
                                        thread_name_prefix="stripehouse-engine")
         return _pool
 

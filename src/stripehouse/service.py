@@ -258,22 +258,26 @@ class ServiceConfig:
 
     @staticmethod
     def from_file(path) -> "ServiceConfig":
-        """Config from a JSON object; an absent key takes the field's default."""
+        """Config from a JSON object; an absent key takes the field's default,
+        and a key of another JSON type than the field's is refused."""
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError("not a JSON object")
-        except (OSError, ValueError) as e:
+            paths = {name: typed_field(doc, name, str) for name in
+                     ("data_root", "users_file", "rules_file", "audit_file") if name in doc}
+            port = typed_field(doc, "port", int, 7878)
+            if not 0 <= port <= 65535:
+                raise ValueError(f"port {port} is not in 0-65535")
+            return ServiceConfig(
+                data_root=resolve_data_root(paths.pop("data_root", None)),
+                port=port,
+                host=typed_field(doc, "host", str, "127.0.0.1"),
+                **paths,
+            )
+        except (OSError, ValueError, Refusal) as e:
             raise InvalidConfig(f"cannot load service config from {path}: "
                                 f"{type(e).__name__}: {e}") from e
-        return ServiceConfig(
-            data_root=resolve_data_root(doc.get("data_root")),
-            port=doc.get("port", 7878),
-            host=doc.get("host", "127.0.0.1"),
-            users_file=doc.get("users_file"),
-            rules_file=doc.get("rules_file"),
-            audit_file=doc.get("audit_file"),
-        )
 
     def __post_init__(self):
         self.data_root = Path(self.data_root)

@@ -61,8 +61,11 @@ def random_query(rng: random.Random) -> str:
     join = rng.random() < 0.5
     if join:
         scope = [("l", "lab_procedure"), ("e", "encounter")]
+        # encounter_id is unique on the build side; hospital_id repeats, so
+        # each matching probe row meets a run of build rows
+        build_key = rng.choice(["encounter_id", "hospital_id"])
         from_clause = ("FROM lab_procedure l "
-                       "JOIN encounter e ON l.encounter_id = e.encounter_id")
+                       f"JOIN encounter e ON l.encounter_id = e.{build_key}")
     else:
         alias, table = rng.choice([("l", "lab_procedure"), ("e", "encounter")])
         scope = [(alias, table)]

@@ -175,6 +175,10 @@ def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
     ("rules.json", '[{"user": "bob", "table": "encounter", "effect": "deny"}]'),
     ("rules.json", '[{"user": "bob", "table": ["encounter"], "effect": "ALLOW"}]'),
     ("service.json", None), ("service.json", "[]"),
+    # a field of another JSON type than its own, or a port no socket takes
+    ("service.json", '{"port": "7878"}'), ("service.json", '{"port": true}'),
+    ("service.json", '{"host": 127}'), ("service.json", '{"users_file": null}'),
+    ("service.json", '{"port": 65536}'),
 ])
 def test_cli_serve_without_valid_rules_or_config(tmp_path, capsys, name, text):
     # fails while loading --config or rules.json, before any socket or server thread exists

@@ -8,9 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stripehouse import engine as engine_mod, stripefile
+from stripehouse import columns as C, engine as engine_mod, stripefile
 from stripehouse.datagen import lab_schema
 from stripehouse.engine import (
     Engine,
@@ -19,6 +19,9 @@ from stripehouse.engine import (
     execute,
     fnv1a64,
     _fnv_int64_vector,
+    _group_indices,
+    _prepare_build,
+    _probe,
     _sorted_unique,
 )
 from stripehouse.errors import MemoryBudgetExceeded
@@ -122,6 +125,70 @@ def test_sorted_unique_strings_like_np_unique(values):
     got = _sorted_unique(a)
     assert len(got) == len(np.unique(a))
     assert got.tolist() == np.unique(a).tolist()
+
+
+# --- the join kernel and the row splitter ---
+
+I64_MIN, I64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+I64_EDGES = st.sampled_from([I64_MIN, I64_MIN + 1, -1, 0, I64_MAX - 1, I64_MAX])
+FLOAT_KEYS = st.floats() | st.sampled_from([math.nan, OTHER_NAN, 0.0, -0.0, math.inf])
+# kind: (build keys, probe keys, column type, whether the build gets a table)
+JOIN_KEYS = {
+    "int64_narrow": (st.integers(-40, 40), st.integers(-60, 60) | I64_EDGES, "int", True),
+    "int64_near_min": (st.integers(I64_MIN, I64_MIN + 40),
+                       st.integers(I64_MIN, I64_MIN + 60) | I64_EDGES, "int", True),
+    "int64_near_max": (st.integers(I64_MAX - 40, I64_MAX),
+                       st.integers(I64_MAX - 60, I64_MAX) | I64_EDGES, "int", True),
+    "date": (st.integers(10_950, 11_000), st.integers(10_900, 11_050), "int", True),
+    "int64_wide": (st.integers(I64_MIN, I64_MAX) | I64_EDGES | st.integers(-3, 3),
+                   st.integers(I64_MIN, I64_MAX) | I64_EDGES | st.integers(-3, 3), "int", False),
+    "float64": (FLOAT_KEYS, FLOAT_KEYS, "float", False),
+    "string": (st.text("ab\u03a9", max_size=3), st.text("ab\u03a9", max_size=3), "str", False),
+}
+
+
+def _key_column(kind: str, values: list):
+    """A join key column of ``values``, None as NULL."""
+    valid = np.array([v is not None for v in values], dtype=bool)
+    if kind == "str":
+        return C.strings_column(["" if v is None else v for v in values], valid)
+    dtype = np.float64 if kind == "float" else np.int64
+    return C.NumColumn(np.array([0 if v is None else v for v in values], dtype=dtype), valid)
+
+
+@pytest.mark.parametrize("kind", sorted(JOIN_KEYS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_probe_matches_nested_loop(kind, data):
+    build_keys, probe_keys, ctype, table = JOIN_KEYS[kind]
+    build = data.draw(st.lists(st.none() | build_keys, max_size=30), "build")
+    if kind == "int64_wide":
+        build += [I64_MIN, I64_MAX]  # a range no table can cover
+    probe = data.draw(st.lists(st.none() | probe_keys, max_size=30), "probe")
+    side = _prepare_build(_key_column(ctype, build), [])
+    assert (side.table is not None) == (table and any(v is not None for v in build))
+    pairs = _probe(side, _key_column(ctype, probe))
+    got = [] if pairs is None else list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    # probe order, then build order within a key; NULL and NaN match nothing
+    assert got == [(i, j) for i, p in enumerate(probe) for j, b in enumerate(build)
+                   if p is not None and b is not None and p == b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12) | st.sampled_from([-5, 2**15 - 1, 2**15, 2**40]),
+                          st.booleans()), max_size=60), st.booleans())
+# spans of 2**15 - 1, the widest the 16-bit sort takes, and of 2**15
+@example([(0, True), (2**15 - 1, True), (0, False), (7, True)], False)
+@example([(0, True), (2**15, True), (0, False), (7, True)], True)
+def test_group_indices_equal_stable_argsort(rows, masked):
+    gid = np.array([g for g, _ in rows], dtype=np.int64)
+    in_range = np.array([m for _, m in rows], dtype=bool) if masked else None
+    got = _group_indices(gid, in_range)
+    base = np.arange(len(gid)) if in_range is None else np.flatnonzero(in_range)
+    expected: dict[int, list] = {}
+    for i in base[np.argsort(gid[base], kind="stable")]:
+        expected.setdefault(int(gid[i]), []).append(int(i))
+    assert [(g, idx.tolist()) for g, idx in got.items()] == list(expected.items())
 
 
 @pytest.mark.parametrize("fmt", list(StorageFormat))

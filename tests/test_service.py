@@ -123,6 +123,20 @@ def test_unknown_effect_denies():
     assert authorize("bob", ["lab_procedure"], rules) == ALLOWED
 
 
+# --- service config ---
+
+def test_service_config_reads_typed_fields(tmp_path):
+    path = tmp_path / "service.json"
+    path.write_text(json.dumps({"data_root": str(tmp_path / "db"), "port": 0,
+                                "host": "localhost", "audit_file": str(tmp_path / "a.log")}))
+    config = ServiceConfig.from_file(path)
+    assert (config.port, config.host) == (0, "localhost")
+    assert config.audit_file == tmp_path / "a.log"
+    assert config.users_file == tmp_path / "db" / "users.json"
+    path.write_text("{}")
+    assert ServiceConfig.from_file(path).port == 7878
+
+
 # --- live server ---
 
 @pytest.fixture()
