@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bench as benchmod
 from .datagen import GenSpec, encounter_schema, generate, lab_schema
 from .engine import Engine, ResultTable
-from .errors import StripehouseError, UnknownTable
+from .errors import InvalidConfig, StripehouseError, UnknownTable
 from .ingest import ingest_csv
 from .planner import (
     DEFAULT_COSTS,
@@ -230,7 +230,10 @@ def cmd_serve(args) -> int:
     else:
         config = ServiceConfig(data_root=_root(args))
     if args.port is not None:  # --port 0 asks for any free port
-        config.port = args.port
+        try:
+            config = replace(config, port=args.port)
+        except ValueError as e:
+            raise InvalidConfig(f"cannot load service config from --port: {e}") from None
     server = StripehouseServer(config)
     host, port = server.address
     print(f"stripehouse serving on {host}:{port} (data root {config.data_root})", flush=True)

@@ -24,6 +24,19 @@ A join runs in one of two shapes (the planner picks):
   contend; buckets past the per-executor row budget spill to
   ``<root>/shuffle/``. Each bucket prepares its own build side.
 
+One batch per task: a scan, join or shuffle bucket hands its consumer one
+``Batch``, or None when no row survives. A scan task concatenates what its
+reader yields once (one batch per stripe, one per ``ENGINE_BATCH_ROWS``
+rows of row text), so an AggPartial task bucketizes and makes each state
+once, and its distinct charge is exact when it is made.
+
+A spilled shuffle piece is a one-stripe ``.stp`` file, written by
+``stripefile.StripeWriter`` and read back by ``read_footer`` and
+``read_stripe_columns``, so a damaged one raises ``BadMagic`` or
+``CorruptFooter``. Its column types come from the data: ``StrColumn`` is
+STRING, float64 FLOAT64 and int64 INT64, which carries DATE's days as they
+are. Spill files live for one query and are not cached.
+
 One path per job: both join shapes run one kernel for every key type,
 ``_prepare_build`` (stable argsort, then the distinct keys with their run
 starts and lengths, plus a direct-address table when the keys are int64
@@ -47,19 +60,19 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import shutil
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import columns as C
 from . import stripefile
-from .errors import EngineBusy, IoFailure, MemoryBudgetExceeded
+from .errors import EngineBusy, MemoryBudgetExceeded
 from .planner import (
     AggFinalOp,
     AggPartialOp,
@@ -70,9 +83,8 @@ from .planner import (
     ScanOp,
     ShuffleOp,
 )
-from .predicate import row_passes
 from .rowtext import scan_rowtext_columnar
-from .schema import ColumnType, StorageFormat, resolve_data_root
+from .schema import ColumnType, StorageFormat, TableSchema, resolve_data_root
 from .sql import ResolvedQuery
 from .values import days_to_iso
 
@@ -109,6 +121,36 @@ def _fnv_int64_vector(keys: np.ndarray) -> np.ndarray:
 class Batch:
     n_rows: int
     cols: list  # C.Column per output position
+
+
+def _concat_batches(batches: list[Batch]) -> Batch | None:
+    """One batch of ``batches``' rows in order; None when there are none."""
+    if not batches:
+        return None
+    return Batch(sum(b.n_rows for b in batches),
+                 [C.concat(list(cols)) for cols in zip(*(b.cols for b in batches))])
+
+
+def _write_spill(path: Path, batch: Batch) -> None:
+    """``batch`` as a one-stripe stripe file, typed by its columns' data."""
+    schema = TableSchema.create("spill", [
+        (f"c{i}", ColumnType.STRING if isinstance(c, C.StrColumn)
+         else ColumnType.FLOAT64 if c.data.dtype == np.float64 else ColumnType.INT64)
+        for i, c in enumerate(batch.cols)])
+    writer = stripefile.StripeWriter(schema, path, stripe_size=batch.n_rows)
+    try:
+        writer.append_columns(batch.cols)
+        writer.close()
+    except BaseException:
+        writer.abort()
+        raise
+
+
+def _read_spill(path: Path) -> Batch:
+    footer = stripefile.read_footer(path)  # not cached: the file lives for one query
+    needed = list(range(footer.schema.arity))
+    cols, _ = stripefile.read_stripe_columns(path, footer, 0, needed)
+    return Batch(footer.row_count, [cols[i] for i in needed])
 
 
 @dataclass
@@ -170,8 +212,7 @@ def result_types(query: ResolvedQuery) -> tuple[ColumnType, ...]:
 # --- aggregation state ---
 # Partial state per group: one slot per AggSpec, None until a row lands.
 #   count_star      -> int
-#   count_distinct  -> list[np.ndarray], one sorted-unique array per batch,
-#                      folded into one when a task passes its row budget
+#   count_distinct  -> list[np.ndarray], one sorted-unique array per task
 #   sum / avg       -> _ExactSum of the non-NULL values
 #   min / max       -> scalar, None while every value seen is NULL or NaN
 # Every state but min / max merges by ``+``; finalize takes the distinct
@@ -321,20 +362,6 @@ def _finalize_spec(spec: AggSpec, state):
     if spec.kind in ("sum", "avg"):
         return state.value(spec.kind == "avg")
     return state.item() if isinstance(state, np.generic) else state
-
-
-def _compact_distinct(specs, merged: dict[int, list]) -> int:
-    """Fold each group's distinct arrays into one; the values the task then
-    holds, counting a state that several specs share once."""
-    distinct = [si for si, spec in enumerate(specs) if spec.kind == "count_distinct"]
-    charged = {specs[si].input_pos: si for si in distinct}.values()
-    held = 0
-    for slots in merged.values():
-        for si in distinct:
-            if len(slots[si]) > 1:
-                slots[si] = [_sorted_unique(np.concatenate(slots[si]))]
-        held += sum(len(slots[si][0]) for si in charged)
-    return held
 
 
 def _group_indices(gid: np.ndarray, in_range: np.ndarray | None) -> dict[int, np.ndarray]:
@@ -573,10 +600,10 @@ class _QueryState:
         self.spill_dir = spill_dir
         self.reducers = config.slots
         self.budget = config.executor_mem_rows
-        # op_id -> {task or bucket: [Batch] | {group: [spec states]} | [row tuple]}
+        # op_id -> {task or bucket: Batch | None | {group: [spec states]} | [row tuple]}
         self.outputs: dict[int, dict[int, object]] = {}
-        # (shuffle op_id, bucket) -> {producer: [Batch] | ('spill', path)}
-        self.staging: dict[tuple[int, int], dict[int, object]] = {}
+        # (shuffle op_id, bucket) -> {producer: Batch | spill file Path}
+        self.staging: dict[tuple[int, int], dict[int, Batch | Path]] = {}
         self.bucket_rows: dict[tuple[int, int], int] = {}
         self._lock = threading.Lock()
 
@@ -597,7 +624,8 @@ class _QueryState:
             ]
         if isinstance(op, JoinOp) and op.broadcast:
             built = self.outputs[op.build_input]
-            build = self._build_side(op, [b for t in sorted(built) for b in built[t]])
+            build = self._build_side(op, _concat_batches(
+                [built[t] for t in sorted(built) if built[t] is not None]))
             return [
                 (lambda o=op, t=tid, b=build: self._join_task(o, t, b))
                 for tid in sorted(self.outputs[op.probe_input])
@@ -623,7 +651,6 @@ class _QueryState:
         task = op.tasks[task_idx]
         pred_cols = {c.col for c in op.conjuncts}
         needed = sorted(set(op.projection) | pred_cols)
-        batches: list[Batch] = []
         if op.fmt is StorageFormat.STRIPE:
             footer = self.plan.footers[task.path]
             cols, nbytes = stripefile.read_stripe_columns(
@@ -634,82 +661,57 @@ class _QueryState:
         else:
             parts = scan_rowtext_columnar(task.path, op.schema, needed, ENGINE_BATCH_ROWS)
             stats = parts.stats
-        for n_rows, cols in parts:
-            kept = C.filter_project(cols, op.conjuncts, op.projection, n_rows)
-            if kept is not None:
-                batches.append(Batch(*kept))
+        kept = [C.filter_project(cols, op.conjuncts, op.projection, n_rows)
+                for n_rows, cols in parts]
         with self._lock:
             self.metrics.rows_read += stats.rows_read
             self.metrics.bytes_read += stats.bytes_read
-        self.outputs[op.op_id][task_idx] = batches
+        self.outputs[op.op_id][task_idx] = _concat_batches(
+            [Batch(*k) for k in kept if k is not None])
 
     # --- shuffle ---
 
     def _shuffle_task(self, op: ShuffleOp, producer: int):
-        batches = self.outputs[op.input_op][producer]
-        r = self.reducers
-        parts: dict[int, list[Batch]] = {}
+        batch = self.outputs[op.input_op][producer]
+        if batch is None:
+            return
+        key_col = batch.cols[op.key_pos]
+        rows = _key_rows(key_col)  # NULL and NaN keys match nothing: not shuffled
+        keys = key_col.data if rows is None else key_col.data[rows]
+        if isinstance(key_col, C.StrColumn):  # the UTF-8 bytes
+            h = np.fromiter(map(fnv1a64, keys), dtype=np.uint64, count=len(keys))
+        else:
+            h = _fnv_int64_vector(keys)
+        buckets = (h % np.uint64(self.reducers)).astype(np.int64)
         rows_moved = 0
-        for batch in batches:
-            key_col = batch.cols[op.key_pos]
-            if isinstance(key_col, C.StrColumn):
-                # the UTF-8 bytes; NULL rows are dropped below
-                h = np.fromiter(map(fnv1a64, key_col.data), dtype=np.uint64,
-                                count=batch.n_rows)
-            else:
-                h = _fnv_int64_vector(key_col.data)
-            buckets = (h % np.uint64(r)).astype(np.int64)
-            valid = key_col.valid
-            if key_col.data.dtype == np.float64:
-                # NaN equals nothing, so NaN keys go with NULL keys
-                not_nan = ~np.isnan(key_col.data)
-                valid = not_nan if valid is None else valid & not_nan
-            # NULL keys are dropped before the shuffle
-            for b, idx in _group_indices(buckets, valid).items():
-                sub = Batch(len(idx), [C.take(c, idx) for c in batch.cols])
-                parts.setdefault(b, []).append(sub)
-                rows_moved += len(idx)
-        for b, sub_batches in parts.items():
-            self._stage_bucket(op.op_id, b, producer, sub_batches)
+        for b, idx in _group_indices(buckets, None).items():
+            if rows is not None:
+                idx = rows[idx]
+            self._stage_bucket(op.op_id, b, producer,
+                               Batch(len(idx), [C.take(c, idx) for c in batch.cols]))
+            rows_moved += len(idx)
         with self._lock:
             self.metrics.shuffle_rows += rows_moved
 
-    def _stage_bucket(self, op_id: int, bucket: int, producer: int,
-                      batches: list[Batch]) -> None:
-        n = sum(b.n_rows for b in batches)
+    def _stage_bucket(self, op_id: int, bucket: int, producer: int, batch: Batch) -> None:
         key = (op_id, bucket)
         with self._lock:
-            total = self.bucket_rows.get(key, 0) + n
+            total = self.bucket_rows.get(key, 0) + batch.n_rows
             self.bucket_rows[key] = total
             slot = self.staging.setdefault(key, {})
         if total > self.budget:
-            path = self.spill_dir / f"{op_id}-{bucket}-{producer}.pkl"
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path, "wb") as f:
-                    pickle.dump(batches, f, protocol=pickle.HIGHEST_PROTOCOL)
-            except OSError as e:
-                raise IoFailure(f"cannot spill shuffle bucket: {e}") from e
+            path = self.spill_dir / f"{op_id}-{bucket}-{producer}{stripefile.EXTENSION}"
+            _write_spill(path, batch)
             with self._lock:
                 self.metrics.spill_events += 1
-            slot[producer] = ("spill", str(path))
+            slot[producer] = path
         else:
-            slot[producer] = batches
+            slot[producer] = batch
 
-    def _load_bucket(self, op_id: int, bucket: int) -> list[Batch]:
+    def _load_bucket(self, op_id: int, bucket: int) -> Batch | None:
         slot = self.staging.get((op_id, bucket), {})
-        out: list[Batch] = []
-        for producer in sorted(slot):
-            entry = slot[producer]
-            if isinstance(entry, tuple) and entry and entry[0] == "spill":
-                try:
-                    with open(entry[1], "rb") as f:
-                        out.extend(pickle.load(f))
-                except OSError as e:
-                    raise IoFailure(f"cannot read spilled bucket: {e}") from e
-            else:
-                out.extend(entry)
-        return out
+        return _concat_batches([_read_spill(e) if isinstance(e, Path) else e
+                                for _, e in sorted(slot.items())])
 
     # --- join ---
 
@@ -720,39 +722,37 @@ class _QueryState:
         else:
             probe = self._load_bucket(op.probe_input, task)
             build = self._build_side(op, self._load_bucket(op.build_input, task))
-        out: list[Batch] = []
-        if build is not None and probe:
-            pairs = _probe(build, C.concat([b.cols[op.probe_key_pos] for b in probe]))
+        out = None
+        if build is not None and probe is not None:
+            pairs = _probe(build, probe.cols[op.probe_key_pos])
             if pairs is not None:
                 probe_idx, build_idx = pairs
-                probe_cols = [C.take(C.concat([b.cols[p] for b in probe]), probe_idx)
-                              for p in op.probe_out]
-                out.append(Batch(len(probe_idx),
-                                 probe_cols + [C.take(c, build_idx) for c in build.cols]))
+                out = Batch(len(probe_idx),
+                            [C.take(probe.cols[p], probe_idx) for p in op.probe_out]
+                            + [C.take(c, build_idx) for c in build.cols])
         self.outputs[op.op_id][task] = out
 
-    def _build_side(self, op: JoinOp, batches: list[Batch]) -> _BuildSide | None:
-        build_rows = sum(b.n_rows for b in batches)
-        if build_rows > self.budget:
-            raise MemoryBudgetExceeded(
-                f"join build side of {build_rows} rows exceeds budget {self.budget}"
-            )
-        if not batches:
+    def _build_side(self, op: JoinOp, batch: Batch | None) -> _BuildSide | None:
+        if batch is None:
             return None
-        return _prepare_build(C.concat([b.cols[op.build_key_pos] for b in batches]),
-                              [C.concat([b.cols[p] for b in batches]) for p in op.build_out])
+        if batch.n_rows > self.budget:
+            raise MemoryBudgetExceeded(
+                f"join build side of {batch.n_rows} rows exceeds budget {self.budget}"
+            )
+        return _prepare_build(batch.cols[op.build_key_pos],
+                              [batch.cols[p] for p in op.build_out])
 
     # --- aggregation ---
 
     def _agg_partial_task(self, op: AggPartialOp, task_id: int):
-        batches = self.outputs[op.input_op][task_id]
+        batch = self.outputs[op.input_op][task_id]
         merged: dict[int, list] = {}
-        held = 0  # distinct values charged to the row budget
-        for batch in batches:
+        if batch is not None:
             idx_groups = self._bucketize(op, batch)
             # SUM and AVG of one column, or a repeated aggregate, share one state
             made: dict[tuple, dict] = {}
             parts = []
+            held = 0  # distinct values charged to the row budget
             for spec in op.specs:
                 key = ("sum" if spec.kind == "avg" else spec.kind, spec.input_pos)
                 if key not in made:
@@ -760,13 +760,10 @@ class _QueryState:
                     if spec.kind == "count_distinct":
                         held += sum(len(st[0]) for st in made[key].values())
                 parts.append(made[key])
-            _merge_slots(op.specs, merged, {g: [p[g] for p in parts] for g in idx_groups})
             if held > self.budget:
-                # the batches' sets overlap: charge what the task really holds
-                held = _compact_distinct(op.specs, merged)
-                if held > self.budget:
-                    raise MemoryBudgetExceeded(
-                        f"distinct set of {held} rows exceeds budget {self.budget}")
+                raise MemoryBudgetExceeded(
+                    f"distinct set of {held} rows exceeds budget {self.budget}")
+            merged = {g: [p[g] for p in parts] for g in idx_groups}
         with self._lock:
             if len(merged) > self.metrics.peak_group_count:
                 self.metrics.peak_group_count = len(merged)
@@ -817,145 +814,3 @@ def execute(plan: PhysicalPlan, config: ExecConfig, data_root=None):
     """One-shot convenience wrapper around Engine.execute."""
     return Engine(data_root).execute(plan, config)
 
-
-# --- brute-force oracle ---
-
-def brute_force(query: ResolvedQuery, tables: dict[str, list[tuple]]) -> ResultTable:
-    """Single-threaded reference evaluator over raw row tuples.
-
-    ``tables`` maps table name -> full row list. Filter, nested hash join,
-    bucket, aggregate; same output ordering contract as execute().
-    """
-    names = query.table_names
-    filtered = []
-    for pos, name in enumerate(names):
-        rows = tables[name]
-        cs = query.conjuncts[pos]
-        filtered.append([r for r in rows if row_passes(cs, r)] if cs else list(rows))
-
-    if query.join_cols is not None:
-        left_key, right_key = query.join_cols
-        # NULL and NaN keys equal nothing (a dict would match one NaN object)
-        build: dict = {}
-        for r in filtered[1]:
-            k = r[right_key.index]
-            if k is None or k != k:
-                continue
-            build.setdefault(k, []).append(r)
-        joined = []
-        for r in filtered[0]:
-            k = r[left_key.index]
-            if k is None or k != k:
-                continue
-            for rr in build.get(k, ()):
-                joined.append((r, rr))
-
-        def get(col):
-            def g(pair):
-                return pair[col.table_pos][col.index]
-            return g
-    else:
-        joined = filtered[0]
-
-        def get(col):
-            def g(row):
-                return row[col.index]
-            return g
-
-    k_groups = None
-    edges = None
-    if query.bucket:
-        edges = [float(e) for e in query.bucket.edges]
-        k_groups = len(edges) - 1
-        bucket_get = get(query.bucket.column)
-
-    import bisect
-
-    def group_of(item):
-        if query.bucket is None:
-            return 0
-        v = bucket_get(item)
-        if v is None:
-            return None
-        v = float(v)
-        if math.isnan(v) or v < edges[0] or v >= edges[-1]:
-            return None
-        return bisect.bisect_right(edges, v) - 1
-
-    groups: dict[int, list] = {}
-    for item in joined:
-        g = group_of(item)
-        if g is None:
-            continue
-        groups.setdefault(g, []).append(item)
-    if query.bucket is None and not groups:
-        groups[0] = []
-
-    getters = [None if a.column is None else get(a.column) for a in query.aggregates]
-    out_rows = []
-    for g in sorted(groups):
-        items = groups[g]
-        finals = []
-        for agg, getter in zip(query.aggregates, getters):
-            if agg.kind == "count_star":
-                finals.append(len(items))
-                continue
-            vals = [getter(it) for it in items]
-            vals = [v for v in vals if v is not None]
-            if agg.kind == "count_distinct":
-                seen = set()
-                for v in vals:
-                    if isinstance(v, float) and math.isnan(v):
-                        seen.add("__nan__")
-                    else:
-                        seen.add(v)
-                finals.append(len(seen))
-            elif agg.kind in ("sum", "avg"):
-                if not vals:
-                    finals.append(None)
-                else:
-                    finals.append(_oracle_sum([float(v) for v in vals], agg.kind == "avg"))
-            else:
-                nn = [v for v in vals if not (isinstance(v, float) and math.isnan(v))]
-                if not nn:
-                    finals.append(None)
-                else:
-                    finals.append(min(nn) if agg.kind == "min" else max(nn))
-        row = []
-        agg_i = 0
-        for is_bucket in query.select_is_bucket:
-            if is_bucket:
-                row.append(g)
-            else:
-                row.append(finals[agg_i])
-                agg_i += 1
-        out_rows.append(tuple(row))
-    return ResultTable(
-        columns=query.select_labels,
-        types=result_types(query),
-        rows=out_rows,
-    )
-
-
-def _oracle_sum(vals: list[float], avg: bool) -> float:
-    """IEEE special values first, then the finite values summed exactly;
-    AVG is the rounded sum over the count, or, for a sum past the float
-    range, the exact sum over the count rounded once."""
-    if any(math.isnan(v) for v in vals) or (math.inf in vals and -math.inf in vals):
-        return math.nan
-    for inf in (math.inf, -math.inf):
-        if inf in vals:
-            return inf
-    try:
-        total = math.fsum(vals)
-    except OverflowError:
-        from fractions import Fraction
-
-        exact = sum(map(Fraction, vals), Fraction(0))
-        try:
-            total = float(exact)
-        except OverflowError:
-            if avg:
-                return float(exact / len(vals))
-            return math.inf if exact > 0 else -math.inf
-    return total / len(vals) if avg else total

@@ -6,17 +6,7 @@ satisfies only ``!=``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-
-OPS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 
 @dataclass(frozen=True)
@@ -26,13 +16,3 @@ class Conjunct:
     col: int
     op: str
     value: object  # typed literal: int, float, or str
-
-
-def row_passes(conjuncts, row) -> bool:
-    for c in conjuncts:
-        v = row[c.col]
-        if v is None:
-            return False
-        if not OPS[c.op](v, c.value):
-            return False
-    return True

@@ -3,13 +3,17 @@
 Wire protocol: each frame is a 4-byte big-endian unsigned length followed
 by a UTF-8 JSON body, 16 MiB max. Request types: ``hello`` (user/token),
 ``ping``, ``query``, ``grant``, ``deny``. Responses: ``ok``, ``result``,
-``error{code,message}``.
+``error{code,message}``. ``recv_frame`` is the one frame decoder;
+``decode_frame`` reads a frame held in memory through it.
 
 Authorization is per-table allow/deny with deny-overrides and default
 deny: a query runs only when every referenced table has a matching ALLOW
 and no matching DENY. ``*`` matches any table. A rules file whose effect is
 not exactly ``ALLOW`` or ``DENY``, or any of whose fields is not a JSON
-string, is rejected, and so is a users file with a non-string field.
+string, is rejected, and so is a users file with a non-string field. A
+grant or deny is saved to the rules file before it is put in force; when
+the save fails, the request is answered with a ``SERVER`` error and the
+rules in force stay as they were.
 
 Each query request stats ``catalog.json`` once and re-reads it when its
 mtime or size changed, so partitions ingested while the server runs are
@@ -34,6 +38,7 @@ credentials.
 from __future__ import annotations
 
 import hmac
+import io
 import json
 import os
 import socket
@@ -45,6 +50,7 @@ import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import Engine
 from .errors import InvalidConfig, IoFailure, StripehouseError
@@ -70,14 +76,12 @@ def encode_frame(body: dict) -> bytes:
 
 
 def decode_frame(data: bytes) -> dict:
-    if len(data) < 4:
-        raise ValueError("short frame")
-    n = struct.unpack(">I", data[:4])[0]
-    if n > FRAME_MAX:
-        raise ValueError("frame too large")
-    if len(data) != 4 + n:
+    """The body of the one whole frame ``data``, read by ``recv_frame``."""
+    rest = io.BytesIO(data)
+    body = recv_frame(SimpleNamespace(recv=rest.read))
+    if body is None or rest.read(1):
         raise ValueError("frame length mismatch")
-    return json.loads(data[4:].decode("utf-8"))
+    return body
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -189,8 +193,11 @@ def save_rules(path, rules: list[AccessRule]) -> None:
         for r in rules
     ]
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as e:
+        raise IoFailure(f"cannot save rules to {path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -266,12 +273,9 @@ class ServiceConfig:
                 raise ValueError("not a JSON object")
             paths = {name: typed_field(doc, name, str) for name in
                      ("data_root", "users_file", "rules_file", "audit_file") if name in doc}
-            port = typed_field(doc, "port", int, 7878)
-            if not 0 <= port <= 65535:
-                raise ValueError(f"port {port} is not in 0-65535")
             return ServiceConfig(
                 data_root=resolve_data_root(paths.pop("data_root", None)),
-                port=port,
+                port=typed_field(doc, "port", int, 7878),
                 host=typed_field(doc, "host", str, "127.0.0.1"),
                 **paths,
             )
@@ -280,6 +284,8 @@ class ServiceConfig:
                                 f"{type(e).__name__}: {e}") from e
 
     def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port {self.port} is not in 0-65535")
         self.data_root = Path(self.data_root)
         self.users_file = Path(self.users_file if self.users_file is not None
                                else self.data_root / "users.json")
@@ -416,9 +422,13 @@ class _Handler(socketserver.BaseRequestHandler):
         if self.role != "ADMIN":
             raise Refusal("DENIED", DENIED, "ADMIN role required")
         doc = typed_field(req, "rule", dict, {})
-        server.add_rule(AccessRule(typed_field(doc, "user", str), typed_field(doc, "table", str),
-                                   typed_field(doc, "action", str, "SELECT"),
-                                   ALLOW if req["type"] == "grant" else DENY))
+        rule = AccessRule(typed_field(doc, "user", str), typed_field(doc, "table", str),
+                          typed_field(doc, "action", str, "SELECT"),
+                          ALLOW if req["type"] == "grant" else DENY)
+        try:
+            server.add_rule(rule)
+        except IoFailure as e:
+            raise Refusal("SERVER", "ERROR", f"{type(e).__name__}: {e}") from None
         return {"type": "ok"}
 
 
@@ -471,9 +481,12 @@ class StripehouseServer:
             return list(self._rules)
 
     def add_rule(self, rule: AccessRule) -> None:
+        """Save the rules with ``rule`` added, then put it in force; a failed
+        save raises ``IoFailure`` and leaves the rules in force as they were."""
         with self._rules_lock:
-            self._rules = self._rules + [rule]
-            save_rules(self.config.rules_file, self._rules)
+            rules = self._rules + [rule]
+            save_rules(self.config.rules_file, rules)
+            self._rules = rules
 
     def serve_forever(self) -> None:
         self._server.serve_forever()

@@ -23,9 +23,9 @@ from stripehouse.bench import (
     run_cell,
     spec_for_size,
 )
-from stripehouse.engine import Engine, brute_force, execute
+from stripehouse.engine import Engine, execute
 from stripehouse.planner import ExecConfig, ScanOp, estimate_cost, plan
-from stripehouse.predicate import Conjunct, row_passes
+from stripehouse.predicate import Conjunct
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.service import (
     ALLOWED,
@@ -40,6 +40,7 @@ from stripehouse.service import (
 from stripehouse.sql import compile_text
 from stripehouse.stripefile import STR_BOUND_BYTES, prune_stripes, read_footer
 
+from oracle import brute_force, row_passes
 from query_gen import random_query
 from rows import scan_file, write_file
 

@@ -178,14 +178,15 @@ def test_cli_serve_without_valid_users_file(tmp_path, capsys, users):
     # a field of another JSON type than its own, or a port no socket takes
     ("service.json", '{"port": "7878"}'), ("service.json", '{"port": true}'),
     ("service.json", '{"host": 127}'), ("service.json", '{"users_file": null}'),
-    ("service.json", '{"port": 65536}'),
+    ("service.json", '{"port": 65536}'), ("--port", "70000"), ("--port", "-1"),
 ])
 def test_cli_serve_without_valid_rules_or_config(tmp_path, capsys, name, text):
-    # fails while loading --config or rules.json, before any socket or server thread exists
+    # fails while loading --config, --port or rules.json, before any socket or
+    # server thread exists
     (tmp_path / "users.json").write_text("[]")
-    if text is not None:
+    if text is not None and name != "--port":
         (tmp_path / name).write_text(text)
-    args = ["serve", "--port", "0", "--root", str(tmp_path)]
+    args = ["serve", "--port", text if name == "--port" else "0", "--root", str(tmp_path)]
     if name == "service.json":
         args += ["--config", str(tmp_path / name)]
     assert main(args) == 1

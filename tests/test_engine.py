@@ -15,7 +15,6 @@ from stripehouse.datagen import lab_schema
 from stripehouse.engine import (
     Engine,
     _ExactSum,
-    brute_force,
     execute,
     fnv1a64,
     _fnv_int64_vector,
@@ -24,12 +23,13 @@ from stripehouse.engine import (
     _probe,
     _sorted_unique,
 )
-from stripehouse.errors import MemoryBudgetExceeded
+from stripehouse.errors import MemoryBudgetExceeded, StripehouseError
 from stripehouse.ingest import ingest_csv
-from stripehouse.planner import ExecConfig, plan
+from stripehouse.planner import ExecConfig, JoinOp, plan
 from stripehouse.schema import Catalog, ColumnType, StorageFormat, TableSchema
 from stripehouse.sql import compile_text
 
+from oracle import brute_force
 from query_gen import random_query
 from rows import write_file
 
@@ -526,6 +526,80 @@ def test_shuffle_spill_path(both_catalogs):
     assert res.rows == ref.rows
     assert not (cat.data_root / "shuffle").exists() or \
         not any((cat.data_root / "shuffle").iterdir())
+
+
+SPILL_BUDGET = 60
+
+
+def spill_tables(tmp_path):
+    """Stripe tables ``a`` (1500 rows) and ``b`` (120 rows) whose INT64,
+    DATE, FLOAT64 and STRING columns hold NULLs and edge values; joined on
+    any of them at ``SPILL_BUDGET`` rows, the build side is shuffled and the
+    probe buckets spill."""
+    rng = random.Random(16)
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.5, -2.25, 1e300, None]
+    days = [-719162, -1, 0, 17532, 2932896, None]  # 0001-01-01 .. 9999-12-31
+    texts = ["", "é", "日本", "k\0", "plain", "K", None]
+    ints = [-(2**63), 2**63 - 1, None] + list(range(20))
+
+    def row():
+        return (rng.choice(ints), rng.choice(days), rng.choice(floats), rng.choice(texts))
+
+    raw = {"a": [row() for _ in range(1500)], "b": [row() for _ in range(120)]}
+    cat = Catalog(tmp_path / "root")
+    for name, cols in (("a", "kdxs"), ("b", "kewt")):
+        schema = TableSchema.create(name, [
+            (c, t, True) for c, t in zip(cols, (ColumnType.INT64, ColumnType.DATE,
+                                                ColumnType.FLOAT64, ColumnType.STRING))])
+        cat.create_table(schema, StorageFormat.STRIPE)
+        rows = raw[name]
+        for pid, start in enumerate(range(0, len(rows), 300)):
+            cat.register_partition(name, write_file(
+                rows[start:start + 300], schema, tmp_path / f"{name}{pid}.stp",
+                stripe_size=50, partition_id=pid))
+    return cat, raw
+
+
+SPILL_KEYS = ["l.k = r.k", "l.d = r.e", "l.x = r.w", "l.s = r.t"]
+SPILL_QUERIES = [
+    "SELECT COUNT(*), COUNT(DISTINCT l.x), COUNT(DISTINCT l.s), COUNT(DISTINCT r.t), "
+    "MIN(l.d), MAX(r.e), AVG(l.k), MIN(r.k) FROM a l JOIN b r ON {}",
+    "SELECT BUCKET(l.x, -3, 0, 1, 2, 10) AS c, COUNT(*), SUM(l.x), AVG(r.w), "
+    "COUNT(DISTINCT r.e), COUNT(DISTINCT l.s) FROM a l JOIN b r ON {} GROUP BY c",
+]
+
+
+def test_shuffle_spill_round_trips_every_type(tmp_path):
+    cat, raw = spill_tables(tmp_path)
+    small = ExecConfig(executors=4, cores_per_executor=3, executor_mem_rows=SPILL_BUDGET)
+    for key in SPILL_KEYS:
+        for template in SPILL_QUERIES:
+            sql = template.format(key)
+            q = compile_text(sql, cat)
+            broadcast, _ = run(cat, sql)
+            p = plan(q, cat, small)
+            assert not any(isinstance(op, JoinOp) and op.broadcast
+                           for stage in p.stages for op in stage), sql
+            res, metrics = execute(p, small, cat.data_root)
+            assert metrics.spill_events > 0, sql
+            assert repr(res.rows) == repr(broadcast.rows) == repr(brute_force(q, raw).rows), sql
+            assert not any((cat.data_root / "shuffle").iterdir())
+
+
+def test_truncated_spill_file_is_typed_error(tmp_path, monkeypatch):
+    cat, _ = spill_tables(tmp_path)
+    stage = engine_mod._QueryState._stage_bucket
+
+    def stage_then_truncate(self, *args):
+        stage(self, *args)
+        for path in self.spill_dir.glob("*"):
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+    monkeypatch.setattr(engine_mod._QueryState, "_stage_bucket", stage_then_truncate)
+    sql = SPILL_QUERIES[0].format(SPILL_KEYS[0])
+    with pytest.raises(StripehouseError):
+        run(cat, sql, executors=4, cores=3, mem_rows=SPILL_BUDGET)
+    assert not any((cat.data_root / "shuffle").iterdir())
 
 
 def test_engine_busy_guard(both_catalogs):

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from stripehouse import rowtext
 from stripehouse.errors import IllegalCharacter, MalformedRecord, TypeMismatch
-from stripehouse.predicate import Conjunct, row_passes
+from stripehouse.predicate import Conjunct
 from stripehouse.rowtext import decode_column, encode_column, scan_rowtext_columnar
 from stripehouse.schema import ColumnType, TableSchema
 from stripehouse.values import iso_to_days
 
+from oracle import row_passes
 from rows import column_from_values, column_to_values, scan_file, write_file
 
 

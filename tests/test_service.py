@@ -250,6 +250,21 @@ def test_grant_requires_admin_and_hot_reloads(server):
     alice.close()
 
 
+def test_grant_unsaved_is_typed_error_and_not_in_force(server):
+    # a rules file in a missing directory cannot be written
+    server.config.rules_file = server.config.rules_file.parent / "missing" / "rules.json"
+    before = server.rules()
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    resp = c.grant("bob", "encounter")
+    assert resp["type"] == "error" and resp["code"] == "SERVER", resp
+    assert server.rules() == before
+    last = json.loads(server.config.audit_file.read_text().splitlines()[-1])
+    assert (last["action"], last["decision"], last["user"]) == ("GRANT", "ERROR", "alice")
+    assert c.ping() == {"type": "ok"}
+    c.close()
+
+
 def test_query_error_audited_not_fatal(server):
     c = connect(server)
     c.hello("alice", "s3cret")

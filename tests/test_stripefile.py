@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from stripehouse import stripefile
 from stripehouse.errors import BadMagic, CorruptFooter, IoFailure, TypeMismatch
-from stripehouse.predicate import Conjunct, row_passes
+from stripehouse.predicate import Conjunct
 from stripehouse.schema import ColumnType, TableSchema
 from stripehouse.stripefile import cached_footer, dump_footer, prune_stripes, read_footer
 
+from oracle import row_passes
 from rows import scan_file, write_file
 
 SCHEMA = TableSchema.create("t", [
