@@ -206,7 +206,7 @@ def cmd_explain(args) -> int:
     print("cost (dimensionless, defaults s=5 c_row=1e-6 c_net=5e-6 x=1):")
     print(f"  {'E':>3} {'total':>12} {'startup':>10} {'compute':>10} "
           f"{'shuffle':>10} {'coord':>10}")
-    for e in (1, 2, 4, 8, 16, 32):
+    for e in benchmod.DEFAULT_EXECUTORS:
         cfg = replace(config, executors=e)
         pe = plan(query, cat, cfg, prune=not args.no_prune)
         c = estimate_cost(pe, cfg, DEFAULT_COSTS)

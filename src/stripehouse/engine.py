@@ -2,8 +2,9 @@
 
 Stages run in plan order with a barrier between stages; tasks inside a
 stage are independent. Each op's output goes to one map keyed by op and
-task (or bucket). Every plan ends in one AggFinal task that merges the
-partial groups in task order.
+task (or bucket). Every plan ends in one task whose output is the result
+rows: the AggFinal task, which merges the partial groups in task order, or
+MetadataCount's, which sums the footers' row counts.
 
 Every query and every ``Engine`` share one pool of ``os.cpu_count() - 1``
 worker threads (at least one), made on the first query that needs it
@@ -65,7 +66,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,7 @@ from .planner import (
     AggSpec,
     ExecConfig,
     JoinOp,
+    MetadataCountOp,
     PhysicalPlan,
     ScanOp,
     ShuffleOp,
@@ -165,16 +167,7 @@ class QueryMetrics:
     spill_events: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "response_time_s": self.response_time_s,
-            "rows_read": self.rows_read,
-            "bytes_read": self.bytes_read,
-            "stripes_total": self.stripes_total,
-            "stripes_pruned": self.stripes_pruned,
-            "shuffle_rows": self.shuffle_rows,
-            "peak_group_count": self.peak_group_count,
-            "spill_events": self.spill_events,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -555,20 +548,6 @@ class Engine:
             stripes_pruned=plan.stripes_pruned,
         )
         query = plan.query
-        if plan.is_metadata_count:
-            op = plan.stages[0][0]
-            total = 0
-            for footer in (plan.footers[path] for path in op.paths):
-                total += footer.row_count
-                metrics.bytes_read += footer.bytes_read
-                metrics.stripes_total += len(footer.stripes)
-            result = ResultTable(
-                columns=query.select_labels,
-                types=result_types(query),
-                rows=[(total,)],
-            )
-            return result, metrics
-
         spill_dir = self.data_root / "shuffle" / uuid.uuid4().hex
         state = _QueryState(plan, config, metrics, spill_dir)
         lanes = min(config.slots, _WORKERS)
@@ -578,7 +557,7 @@ class Engine:
                 for op in stage:
                     tasks.extend(state.tasks_for(op))
                 _run_tasks(tasks, lanes)
-            rows = state.outputs[plan.stages[-1][0].op_id][0]  # the one AggFinal task
+            rows = state.outputs[plan.stages[-1][0].op_id][0]  # the last stage's one task
         finally:
             if spill_dir.exists():
                 shutil.rmtree(spill_dir, ignore_errors=True)
@@ -643,9 +622,19 @@ class _QueryState:
             ]
         if isinstance(op, AggFinalOp):
             return [lambda o=op: self._finalize(o)]
+        if isinstance(op, MetadataCountOp):
+            return [lambda o=op: self._metadata_count(o)]
         raise AssertionError(f"unexpected op {op}")
 
     # --- scan ---
+
+    def _metadata_count(self, op: MetadataCountOp):
+        """COUNT(*) from the footers' row counts; no stripe is read."""
+        footers = [self.plan.footers[path] for path in op.paths]
+        with self._lock:
+            self.metrics.bytes_read += sum(f.bytes_read for f in footers)
+            self.metrics.stripes_total += sum(len(f.stripes) for f in footers)
+        self.outputs[op.op_id][0] = [(sum(f.row_count for f in footers),)]
 
     def _scan_task(self, op: ScanOp, task_idx: int):
         task = op.tasks[task_idx]

@@ -27,6 +27,11 @@ carries those footers: the engine reads stripes by them, and MetadataCount
 sums their row counts. A scan has one task per kept stripe (STRIPE) or per
 partition file (ROWTEXT). Reducer count R = executors * cores.
 
+The plan holds only what the engine runs; ``PhysicalPlan`` is built once,
+in ``plan()``, and its stripe counts are sums over its scans.
+``estimate_cost`` derives every row and task figure it needs from the
+plan's ops, its query and its reducer count.
+
 The cost model is advisory and never gates execution::
 
     startup      = s * E
@@ -112,8 +117,6 @@ class ShuffleOp:
     op_id: int
     input_op: int
     key_pos: int
-    rows_estimate: int
-    tasks_estimate: int
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,6 @@ class AggPartialOp:
     bucket_pos: int | None
     bucket_edges: tuple | None
     specs: tuple[AggSpec, ...]
-    rows_estimate: int
-    tasks_estimate: int
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,19 @@ class PhysicalPlan:
     stages: tuple[tuple[PlanOp, ...], ...]
     query: ResolvedQuery
     reducers: int
-    stripes_total: int
-    stripes_pruned: int
-    groups_estimate: int
     footers: dict = field(compare=False, default_factory=dict, repr=False)
 
     @property
     def is_metadata_count(self) -> bool:
         return isinstance(self.stages[0][0], MetadataCountOp)
+
+    @property
+    def stripes_total(self) -> int:
+        return sum(op.stripes_total for op in self.ops() if isinstance(op, ScanOp))
+
+    @property
+    def stripes_pruned(self) -> int:
+        return sum(op.stripes_pruned for op in self.ops() if isinstance(op, ScanOp))
 
     def ops(self):
         for stage in self.stages:
@@ -248,50 +254,29 @@ def _scan_op(op_id: int, entry: TableEntry, conjuncts, projection,
 def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
          prune: bool = True) -> PhysicalPlan:
     """Produce the staged physical plan for a validated query."""
-    reducers = config.slots
     footers: dict = {}
-    groups = (len(query.bucket.edges) - 1) if query.bucket else 1
-
-    # metadata shortcut: bare COUNT(*) over a STRIPE table
     entry0 = query.entries[0]
-    if (
-        query.join_cols is None
-        and not query.conjuncts[0]
+    if query.join_cols is not None:
+        stages = _join_stages(query, config, prune, footers)
+    elif (
+        not query.conjuncts[0]
         and query.bucket is None
         and len(query.aggregates) == 1
         and query.aggregates[0].kind == "count_star"
         and entry0.format is StorageFormat.STRIPE
-    ):
+    ):  # metadata shortcut: bare COUNT(*) over a STRIPE table
         _footers(entry0, footers)
-        op = MetadataCountOp(0, entry0.schema.table_name,
-                             tuple(p.path for p in entry0.partitions))
-        return PhysicalPlan(
-            stages=((op,),),
-            query=query,
-            reducers=reducers,
-            stripes_total=0,
-            stripes_pruned=0,
-            groups_estimate=groups,
-            footers=footers,
-        )
-
-    if query.join_cols is None:
+        stages = ((MetadataCountOp(0, entry0.schema.table_name,
+                                   tuple(p.path for p in entry0.partitions)),),)
+    else:
         projection = _needed_columns(query, 0)
         scan = _scan_op(0, entry0, query.conjuncts[0], projection, prune, footers)
         pos_of = {col: i for i, col in enumerate(projection)}
-        aggs = _agg_ops(query, 1, 0, lambda col: pos_of[col.index],
-                        scan.rows_max, max(len(scan.tasks), 1))
-        return PhysicalPlan(
-            stages=((scan,), *aggs),
-            query=query,
-            reducers=reducers,
-            stripes_total=scan.stripes_total,
-            stripes_pruned=scan.stripes_pruned,
-            groups_estimate=groups,
-            footers=footers,
-        )
+        stages = ((scan,), *_agg_ops(query, 1, 0, lambda col: pos_of[col.index]))
+    return PhysicalPlan(stages=stages, query=query, reducers=config.slots, footers=footers)
 
-    # join plan
+
+def _join_stages(query: ResolvedQuery, config: ExecConfig, prune: bool, footers: dict):
     left_key, right_key = query.join_cols
     needed = [_needed_columns(query, 0), _needed_columns(query, 1)]
     proj = [
@@ -313,10 +298,7 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         inputs, shuffle_stage = [0, 1], ()
     else:
         inputs = [2, 3]
-        shuffle_stage = ((
-            ShuffleOp(2, 0, key_pos[0], scans[0].rows_total, max(len(scans[0].tasks), 1)),
-            ShuffleOp(3, 1, key_pos[1], scans[1].rows_total, max(len(scans[1].tasks), 1)),
-        ),)
+        shuffle_stage = ((ShuffleOp(2, 0, key_pos[0]), ShuffleOp(3, 1, key_pos[1])),)
     join_id = inputs[1] + 1
     out_positions = {}  # (side, schema col idx) -> position in join output
     probe_out = [proj[probe_side].index(i) for i in needed[probe_side]]
@@ -338,28 +320,12 @@ def plan(query: ResolvedQuery, catalog: Catalog, config: ExecConfig,
         build_rows=scans[build_side].rows_total,
         probe_rows=scans[probe_side].rows_total,
     )
-
-    if broadcast:  # one join task per probe-scan task
-        probe_scan = scans[probe_side]
-        rows_estimate, tasks_estimate = probe_scan.rows_max, max(len(probe_scan.tasks), 1)
-    else:
-        rows_estimate, tasks_estimate = _ceil_div(join_op.probe_rows, reducers), reducers
     aggs = _agg_ops(query, join_id + 1, join_id,
-                    lambda col: out_positions[(col.table_pos, col.index)],
-                    rows_estimate, tasks_estimate)
-    return PhysicalPlan(
-        stages=(tuple(scans), *shuffle_stage, (join_op,), *aggs),
-        query=query,
-        reducers=reducers,
-        stripes_total=scans[0].stripes_total + scans[1].stripes_total,
-        stripes_pruned=scans[0].stripes_pruned + scans[1].stripes_pruned,
-        groups_estimate=groups,
-        footers=footers,
-    )
+                    lambda col: out_positions[(col.table_pos, col.index)])
+    return (tuple(scans), *shuffle_stage, (join_op,), *aggs)
 
 
-def _agg_ops(query: ResolvedQuery, op_id: int, input_op: int, pos_of,
-             rows_estimate: int, tasks_estimate: int):
+def _agg_ops(query: ResolvedQuery, op_id: int, input_op: int, pos_of):
     """The ``[AggPartial] -> [AggFinal]`` tail every plan ends with;
     ``pos_of`` maps a query column to its position in the input batches."""
     specs = tuple(AggSpec(a.kind, None if a.column is None else pos_of(a.column))
@@ -370,8 +336,6 @@ def _agg_ops(query: ResolvedQuery, op_id: int, input_op: int, pos_of,
         bucket_pos=pos_of(query.bucket.column) if query.bucket else None,
         bucket_edges=query.bucket.edges if query.bucket else None,
         specs=specs,
-        rows_estimate=rows_estimate,
-        tasks_estimate=tasks_estimate,
     )
     agg_f = AggFinalOp(op_id + 1, op_id, specs, grouped=query.bucket is not None)
     return (agg_p,), (agg_f,)
@@ -383,7 +347,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
                   constants: CostConstants = DEFAULT_COSTS) -> CostEstimate:
-    """Deterministic cost of running this plan shape at the given config."""
+    """Deterministic cost of running this plan shape at the given config.
+
+    Shuffle and AggPartial rows and tasks follow from the op's input op and
+    the plan's own reducer count, which is what the engine runs."""
     E = config.executors
     slots = config.slots
     r = max(config.slots, 1)
@@ -397,9 +364,11 @@ def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
             tasks, rows = len(op.paths), 0
         elif isinstance(op, ScanOp):
             tasks, rows = len(op.tasks), op.rows_max
-        elif isinstance(op, ShuffleOp):
-            tasks, rows = op.tasks_estimate, _ceil_div(op.rows_estimate, max(op.tasks_estimate, 1))
-            shuffle_rows += op.rows_estimate
+        elif isinstance(op, ShuffleOp):  # one task per scan task, every scan row moved
+            scan = by_id[op.input_op]
+            tasks = max(len(scan.tasks), 1)
+            rows = _ceil_div(scan.rows_total, tasks)
+            shuffle_rows += scan.rows_total
         elif isinstance(op, JoinOp) and op.broadcast:
             probe = by_id[op.probe_input]
             compute += op.build_rows * constants.per_row  # the build, sorted once
@@ -407,9 +376,16 @@ def estimate_cost(plan: PhysicalPlan, config: ExecConfig,
         elif isinstance(op, JoinOp):
             tasks, rows = r, _ceil_div(op.build_rows + op.probe_rows, r)
         elif isinstance(op, AggPartialOp):
-            tasks, rows = op.tasks_estimate, op.rows_estimate
-        else:  # AggFinalOp
-            tasks, rows = 1, plan.groups_estimate * r
+            source = by_id[op.input_op]
+            if isinstance(source, JoinOp) and source.broadcast:
+                source = by_id[source.probe_input]  # one join task per probe-scan task
+            if isinstance(source, JoinOp):  # one task per shuffle bucket
+                tasks, rows = plan.reducers, _ceil_div(source.probe_rows, plan.reducers)
+            else:  # one task per scan task
+                tasks, rows = max(len(source.tasks), 1), source.rows_max
+        else:  # AggFinalOp: every reducer may hold every group
+            groups = len(plan.query.bucket.edges) - 1 if plan.query.bucket else 1
+            tasks, rows = 1, groups * r
         if tasks:
             compute += math.ceil(tasks / slots) * rows * constants.per_row
 

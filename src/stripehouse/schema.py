@@ -114,21 +114,24 @@ class TableEntry:
         return sum(p.row_count for p in self.partitions)
 
 
-def _schema_to_json(schema: TableSchema) -> dict:
+def schema_to_json(schema: TableSchema) -> dict:
+    """The schema as the catalog and the stripe footer store it."""
     return {
         "table_name": schema.table_name,
         "columns": [[c.name, c.ctype.value, c.nullable] for c in schema.columns],
     }
 
 
-def _schema_from_json(d: dict) -> TableSchema:
+def schema_from_json(d: dict) -> TableSchema:
+    """Inverse of ``schema_to_json``; raises KeyError, ValueError or TypeError
+    on a malformed document."""
     cols = tuple(Column(n, ColumnType(t), bool(nl)) for n, t, nl in d["columns"])
     return TableSchema(d["table_name"], cols)
 
 
 def _entry_to_json(entry: TableEntry) -> dict:
     return {
-        "schema": _schema_to_json(entry.schema),
+        "schema": schema_to_json(entry.schema),
         "format": entry.format.value,
         "created_at": entry.created_at,
         "partitions": [
@@ -156,7 +159,7 @@ def _entry_from_json(d: dict) -> TableEntry:
         for p in d["partitions"]
     )
     return TableEntry(
-        schema=_schema_from_json(d["schema"]),
+        schema=schema_from_json(d["schema"]),
         format=StorageFormat(d["format"]),
         partitions=parts,
         created_at=d["created_at"],
@@ -247,7 +250,3 @@ class Catalog:
                 return self._tables[key]
             except KeyError:
                 raise UnknownTable(name) from None
-
-    def table_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tables)

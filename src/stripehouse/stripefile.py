@@ -35,7 +35,13 @@ the least recently used entry.
 
 ``prune_stripes`` is the one pruning rule, and the planner its only caller:
 it prunes each partition once, and the engine reads the stripes it keeps
-with ``read_stripe_columns``.
+with ``read_stripe_columns``. A conjunction gives each column it touches one
+range ``(lo, lo_open, hi, hi_open)``, None for an unbounded end, and a list
+of ``!=`` values. A stripe is pruned when a touched column holds only NULLs,
+when the column's ``[min, max]`` misses its range (a truncated string max
+counts as unbounded), or when the column holds one exactly known value that
+a ``!=`` excludes; a column holding NaN is not tested. A range with
+``hi < lo``, or ``hi == lo`` and an open end, prunes every stripe.
 """
 
 from __future__ import annotations
@@ -54,11 +60,12 @@ import numpy as np
 from . import columns as C
 from .errors import BadMagic, CorruptFooter, IoFailure
 from .schema import (
-    Column as SchemaColumn,
     ColumnType,
     PartitionDescriptor,
     StorageFormat,
     TableSchema,
+    schema_from_json,
+    schema_to_json,
 )
 
 MAGIC = b"STRP"
@@ -230,10 +237,7 @@ class StripeWriter:
         if self._buffered:
             self._emit(self._buffered)
         footer = {
-            "schema": {
-                "table_name": self.schema.table_name,
-                "columns": [[c.name, c.ctype.value, c.nullable] for c in self.schema.columns],
-            },
+            "schema": schema_to_json(self.schema),
             "rows": self._rows,
             "stripes": self._stripe_dirs,
         }
@@ -277,13 +281,7 @@ def read_footer(path) -> StripeFooter:
         raise IoFailure(f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(blob.decode("utf-8"))
-        schema = TableSchema(
-            doc["schema"]["table_name"],
-            tuple(
-                SchemaColumn(n, ColumnType(t), bool(nl))
-                for n, t, nl in doc["schema"]["columns"]
-            ),
-        )
+        schema = schema_from_json(doc["schema"])
         stripes = []
         for s in doc["stripes"]:
             cols = tuple(
@@ -418,125 +416,68 @@ def _parse_chunk(raw: bytes, ctype: ColumnType, rows: int, path) -> C.Column:
 
 # --- pruning rule (the single authority; the planner calls it) ---
 
-_NEG_INF = object()
-_POS_INF = object()
+_UNBOUNDED = (None, False, None, False)
 
 
-def _lt(a, b) -> bool:
-    if a is _NEG_INF or b is _POS_INF:
-        return True
-    if a is _POS_INF or b is _NEG_INF:
-        return False
-    return a < b
-
-
-class _Interval:
-    """Closed/open interval over one column's comparable domain."""
-
-    __slots__ = ("lo", "lo_open", "hi", "hi_open")
-
-    def __init__(self):
-        self.lo, self.lo_open = _NEG_INF, False
-        self.hi, self.hi_open = _POS_INF, False
-
-    def narrow(self, op: str, v) -> None:
-        if op == "=":
-            self._raise_lo(v, False)
-            self._lower_hi(v, False)
-        elif op == ">":
-            self._raise_lo(v, True)
-        elif op == ">=":
-            self._raise_lo(v, False)
-        elif op == "<":
-            self._lower_hi(v, True)
-        elif op == "<=":
-            self._lower_hi(v, False)
-
-    def _raise_lo(self, v, is_open: bool) -> None:
-        if self.lo is _NEG_INF or _lt(self.lo, v):
-            self.lo, self.lo_open = v, is_open
-        elif not _lt(v, self.lo) and is_open:
-            self.lo_open = True
-
-    def _lower_hi(self, v, is_open: bool) -> None:
-        if self.hi is _POS_INF or _lt(v, self.hi):
-            self.hi, self.hi_open = v, is_open
-        elif not _lt(self.hi, v) and is_open:
-            self.hi_open = True
-
-    def empty(self) -> bool:
-        if self.lo is _NEG_INF or self.hi is _POS_INF:
-            return False
-        if _lt(self.hi, self.lo):
-            return True
-        if not _lt(self.lo, self.hi):  # lo == hi
-            return self.lo_open or self.hi_open
-        return False
-
-    def disjoint_from(self, smin, smax) -> bool:
-        """True when [smin, smax] cannot intersect this interval.
-
-        smax may be _POS_INF (truncated upper bound / unbounded).
-        """
-        if self.lo is not _NEG_INF:
-            if smax is not _POS_INF and (_lt(smax, self.lo) or (self.lo_open and not _lt(self.lo, smax))):
-                return True
-        if self.hi is not _POS_INF:
-            if _lt(self.hi, smin) or (self.hi_open and not _lt(smin, self.hi)):
-                return True
-        return False
-
-
-def analyze_predicate(conjuncts):
-    """Per-column satisfying intervals plus != points; detects contradiction."""
-    intervals: dict[int, _Interval] = {}
+def _column_ranges(conjuncts) -> tuple[dict[int, tuple], dict[int, list]]:
+    """Per column the conjunction touches: the range ``(lo, lo_open, hi,
+    hi_open)`` its comparisons leave, None for an unbounded end, and its
+    ``!=`` values. Of two bounds at one value, the open one holds."""
+    ranges: dict[int, tuple] = {}
     neq: dict[int, list] = {}
     for c in conjuncts:
+        lo, lo_open, hi, hi_open = ranges.get(c.col, _UNBOUNDED)
+        v = c.value
         if c.op == "!=":
-            neq.setdefault(c.col, []).append(c.value)
-            continue
-        iv = intervals.setdefault(c.col, _Interval())
-        iv.narrow(c.op, c.value)
-    contradiction = any(iv.empty() for iv in intervals.values())
-    return intervals, neq, contradiction
+            neq.setdefault(c.col, []).append(v)
+        if c.op in ("=", ">", ">="):
+            if lo is None or lo < v:
+                lo, lo_open = v, c.op == ">"
+            elif not v < lo:
+                lo_open = lo_open or c.op == ">"
+        if c.op in ("=", "<", "<="):
+            if hi is None or v < hi:
+                hi, hi_open = v, c.op == "<"
+            elif not hi < v:
+                hi_open = hi_open or c.op == "<"
+        ranges[c.col] = (lo, lo_open, hi, hi_open)
+    return ranges, neq
 
 
-def stripe_may_match(stripe: StripeInfo, intervals: dict[int, _Interval],
-                     neq: dict[int, list]) -> bool:
-    """Conservative test: can any row of this stripe satisfy the predicate
-    ``analyze_predicate`` found to be ``intervals`` and ``neq``?"""
-    touched = set(intervals) | set(neq)
-    for col in touched:
-        st = stripe.columns[col]
-        if st.null_count == stripe.row_count:
-            return False  # only NULLs: no comparison can be satisfied
-        if st.has_nan:
-            continue  # NaN rows defeat interval reasoning on this column
-        if st.min is None:
-            continue
-        smin = st.min
-        smax = _POS_INF if st.max_truncated else st.max
-        iv = intervals.get(col)
-        if iv is not None and iv.disjoint_from(smin, smax):
-            return False
-        for v in neq.get(col, ()):
-            if (
-                not st.min_truncated
-                and not st.max_truncated
-                and st.min == st.max == v
-            ):
-                return False
-    return True
+def _misses(st: ColumnStats, rows: int, rng: tuple, neq) -> bool:
+    """True when no row of a stripe of ``rows`` rows, whose column ``st``
+    describes, can lie in ``rng`` and differ from every value of ``neq``."""
+    if st.null_count == rows:
+        return True  # only NULLs: no comparison can be satisfied
+    if st.has_nan or st.min is None:
+        return False  # NaN rows defeat range reasoning on this column
+    lo, lo_open, hi, hi_open = rng
+    smin, smax = st.min, None if st.max_truncated else st.max
+    if lo is not None and smax is not None and (smax < lo or (lo_open and not lo < smax)):
+        return True
+    if hi is not None and (hi < smin or (hi_open and not smin < hi)):
+        return True
+    # one value in the stripe, known exactly, that a != excludes
+    return not st.min_truncated and any(smin == smax == v for v in neq)
 
 
 def prune_stripes(footer: StripeFooter, conjuncts) -> list[bool]:
     """Retained-mask over stripes for a conjunctive predicate."""
-    if not conjuncts:
-        return [True] * len(footer.stripes)
-    intervals, neq, contradiction = analyze_predicate(conjuncts)
-    if contradiction:
-        return [False] * len(footer.stripes)
-    return [stripe_may_match(s, intervals, neq) for s in footer.stripes]
+    ranges, neq = _column_ranges(conjuncts)
+    for lo, lo_open, hi, hi_open in ranges.values():
+        if lo is not None and hi is not None and (
+                hi < lo or (not lo < hi and (lo_open or hi_open))):
+            return [False] * len(footer.stripes)  # the conjunction contradicts itself
+    tests = [(col, rng, neq.get(col, ())) for col, rng in ranges.items()]
+    kept = []
+    for s in footer.stripes:
+        for col, rng, values in tests:
+            if _misses(s.columns[col], s.row_count, rng, values):
+                kept.append(False)
+                break
+        else:
+            kept.append(True)
+    return kept
 
 
 def dump_footer(path) -> str:

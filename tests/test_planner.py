@@ -289,6 +289,25 @@ def test_broadcast_cost_no_shuffle_term(tmp_path):
     assert c.coordination == 2 * 4
 
 
+def test_shuffle_cost_terms(tmp_path):
+    cat = fake_rowtext_catalog(tmp_path, {
+        "lab_procedure": (lab_schema(), [10_000] * 8),
+        "encounter": (encounter_schema(), [1_000] * 8),
+    })
+    q = compile_text(COMPLEX, cat)
+    cfg = ExecConfig(executors=2, cores_per_executor=2, executor_mem_rows=7_999)
+    p = plan(q, cat, cfg)
+    assert not next(op for op in p.ops() if isinstance(op, JoinOp)).broadcast
+    c = estimate_cost(p, cfg)
+    # scans 2 * 1e4 + 2 * 1e3, shuffles the same, join ceil(88e3 / 4),
+    # partial aggregation ceil(8e4 / 4) on each of 4 buckets, final 3 groups * 4
+    rows = 20_000 + 2_000 + 20_000 + 2_000 + 22_000 + 20_000 + 3 * 4
+    assert c.compute == pytest.approx(rows * 1e-6)
+    assert c.shuffle == pytest.approx(88_000 * 5e-6)
+    assert c.coordination == 2 * 5
+    assert c.startup == 10
+
+
 @pytest.mark.parametrize("enc_rows", [1_000_000, 1_000_001])
 def test_join_cost_argmin_interior_at_ladder_scale(tmp_path, enc_rows):
     # the 10^7 ladder's task counts: 1000 lab tasks of 10^4 rows; encounter

@@ -184,6 +184,49 @@ def test_contradictory_conjuncts_prune_all(tmp_path):
     assert mask == [False, False, False]
 
 
+def _stats(lo=None, hi=None, nulls=0, **flags):
+    return stripefile.ColumnStats(0, 0, nulls, lo, hi, **flags)
+
+
+A_GT5, A_GE5, A_LE5 = Conjunct(0, ">", 5), Conjunct(0, ">=", 5), Conjunct(0, "<=", 5)
+LONG = "x" * stripefile.STR_BOUND_BYTES
+
+
+@pytest.mark.parametrize("col,pred,stripes,want", [
+    # of two bounds at one value the open one holds, in either order
+    (0, [A_GT5, A_GE5], [_stats(5, 5), _stats(5, 6), _stats(4, 4)], [False, True, False]),
+    (0, [A_GE5, A_GT5], [_stats(5, 5), _stats(5, 6), _stats(4, 4)], [False, True, False]),
+    (0, [A_GE5, A_LE5], [_stats(5, 5), _stats(6, 7), _stats(3, 4)], [True, False, False]),
+    # contradictions prune every stripe
+    (0, [A_GT5, A_LE5], [_stats(5, 5), _stats(0, 10)], [False, False]),
+    (0, [Conjunct(0, "=", 5), Conjunct(0, "=", 6)], [_stats(5, 6), _stats(0, 10)],
+     [False, False]),
+    (0, [Conjunct(0, "<", 5)], [_stats(5, 9), _stats(4, 9)], [False, True]),
+    (0, [Conjunct(0, "<=", 5)], [_stats(5, 9), _stats(6, 9)], [True, False]),
+    # != prunes a single-valued stripe whose bounds are exact
+    (0, [Conjunct(0, "!=", 5)], [_stats(5, 5), _stats(5, 6)], [False, True]),
+    (1, [Conjunct(1, "!=", "x")], [_stats("x", "x"), _stats("x", "y")], [False, True]),
+    (1, [Conjunct(1, "!=", LONG)],
+     [_stats(LONG, LONG), _stats(LONG, LONG, min_truncated=True),
+      _stats(LONG, LONG, max_truncated=True)],
+     [False, True, True]),
+    # a NaN column is not tested; an all-NULL column prunes
+    (2, [Conjunct(2, ">", 10.0)], [_stats(1.0, 2.0, has_nan=True), _stats(1.0, 2.0)],
+     [True, False]),
+    (2, [Conjunct(2, "!=", 5.0)], [_stats(5.0, 5.0, has_nan=True), _stats(5.0, 5.0)],
+     [True, False]),
+    (0, [Conjunct(0, "!=", 5)], [_stats(nulls=10), _stats(1, 1, nulls=9)], [False, True]),
+    (1, [Conjunct(1, ">=", "a")], [_stats(nulls=10), _stats("b", "c", nulls=9)],
+     [False, True]),
+])
+def test_prune_decision_table(col, pred, stripes, want):
+    blank = _stats()
+    footer = stripefile.StripeFooter(SCHEMA, 10 * len(stripes), tuple(
+        stripefile.StripeInfo(0, 0, 10, tuple(st if i == col else blank for i in range(4)))
+        for st in stripes), 0)
+    assert prune_stripes(footer, pred) == want
+
+
 def test_prune_on_off_equivalence_randomized(tmp_path):
     rng = random.Random(99)
     rows = sorted(make_rows(8_000, seed=21, with_nan=True),
