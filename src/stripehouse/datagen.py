@@ -53,7 +53,8 @@ def lab_schema() -> TableSchema:
 
 
 class Rng:
-    """SplitMix64: 64-bit state, identical stream on every platform."""
+    """SplitMix64: 64-bit state, identical stream on every platform. The
+    scalar reference that the vectorized draws (``_mix_vector``) reproduce."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -64,14 +65,6 @@ class Rng:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
-
-    def below(self, k: int) -> int:
-        """Uniform in [0, k) via multiply-shift (high 64 bits of u64*k)."""
-        return (self.next_u64() * k) >> 64
-
-    def float64(self) -> float:
-        """Uniform in [0, 1) with 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _mix_vector(seed: int, start: int, count: int) -> np.ndarray:

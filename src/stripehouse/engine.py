@@ -36,7 +36,8 @@ A spilled shuffle piece is a one-stripe ``.stp`` file, written by
 ``read_stripe_columns``, so a damaged one raises ``BadMagic`` or
 ``CorruptFooter``. Its column types come from the data: ``StrColumn`` is
 STRING, float64 FLOAT64 and int64 INT64, which carries DATE's days as they
-are. Spill files live for one query and are not cached.
+are. Spill files live for one query and are not cached; a plan with no
+``ShuffleOp`` gets no spill directory.
 
 One path per job: both join shapes run one kernel for every key type,
 ``_prepare_build`` (stable argsort, then the distinct keys with their run
@@ -139,7 +140,7 @@ def _write_spill(path: Path, batch: Batch) -> None:
         (f"c{i}", ColumnType.STRING if isinstance(c, C.StrColumn)
          else ColumnType.FLOAT64 if c.data.dtype == np.float64 else ColumnType.INT64)
         for i, c in enumerate(batch.cols)])
-    writer = stripefile.StripeWriter(schema, path, stripe_size=batch.n_rows)
+    writer = stripefile.StripeWriter(schema, path)
     try:
         writer.append_columns(batch.cols)
         writer.close()
@@ -513,9 +514,10 @@ def _run_tasks(tasks: list, lanes: int) -> None:
 
     helpers = [_shared_pool().submit(lane) for _ in range(min(lanes, len(tasks)) - 1)]
     lane()
-    for f in helpers:
-        f.cancel()  # a lane still queued would find nothing left to take
-    wait(helpers)
+    if helpers:
+        for f in helpers:
+            f.cancel()  # a lane still queued would find nothing left to take
+        wait(helpers)
     if errors:
         raise errors[0]
 
@@ -548,7 +550,9 @@ class Engine:
             stripes_pruned=plan.stripes_pruned,
         )
         query = plan.query
-        spill_dir = self.data_root / "shuffle" / uuid.uuid4().hex
+        spill_dir = None  # only a ShuffleOp can spill
+        if any(isinstance(op, ShuffleOp) for stage in plan.stages for op in stage):
+            spill_dir = self.data_root / "shuffle" / uuid.uuid4().hex
         state = _QueryState(plan, config, metrics, spill_dir)
         lanes = min(config.slots, _WORKERS)
         try:
@@ -559,7 +563,7 @@ class Engine:
                 _run_tasks(tasks, lanes)
             rows = state.outputs[plan.stages[-1][0].op_id][0]  # the last stage's one task
         finally:
-            if spill_dir.exists():
+            if spill_dir is not None and spill_dir.exists():
                 shutil.rmtree(spill_dir, ignore_errors=True)
         result = ResultTable(
             columns=query.select_labels,
@@ -573,10 +577,10 @@ class _QueryState:
     """Mutable run state: op outputs, shuffle staging, metrics."""
 
     def __init__(self, plan: PhysicalPlan, config: ExecConfig, metrics: QueryMetrics,
-                 spill_dir):
+                 spill_dir: Path | None):
         self.plan = plan
         self.metrics = metrics
-        self.spill_dir = spill_dir
+        self.spill_dir = spill_dir  # None for a plan with no ShuffleOp
         self.reducers = config.slots
         self.budget = config.executor_mem_rows
         # op_id -> {task or bucket: Batch | None | {group: [spec states]} | [row tuple]}

@@ -6,6 +6,8 @@ order. Rows are distributed round-robin in batches of ``stripe_size``
 across ``partitions`` writers, so partition 0 gets batches 0, P, 2P, ...
 A CSV of fewer than ``partitions * stripe_size`` rows therefore fills
 fewer partitions than asked (``stripehouse ingest`` prints how many).
+Ingest alone decides this layout: the format writers write each batch they
+are handed as it is, so every batch becomes one stripe of a ``.stp`` file.
 
 An optional stable pre-sort on one column clusters values so stripe
 statistics become selective; without it uniformly distributed columns
@@ -26,11 +28,14 @@ from .schema import (
     DEFAULT_PARTITIONS,
     DEFAULT_WORKERS,
     Catalog,
+    PartitionDescriptor,
     StorageFormat,
     TableEntry,
     TableSchema,
 )
-from .stripefile import DEFAULT_STRIPE_SIZE, EXTENSION as STP_EXT, StripeWriter
+from .stripefile import EXTENSION as STP_EXT, StripeWriter
+
+DEFAULT_STRIPE_SIZE = 10_000
 
 
 def _open_reader(path):
@@ -65,7 +70,8 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
     schema = entry.schema
     fmt = entry.format
     base = catalog.data_root / "tables" / schema.table_name
-    ext = STP_EXT if fmt is StorageFormat.STRIPE else RTX_EXT
+    writer_cls, ext = ((StripeWriter, STP_EXT) if fmt is StorageFormat.STRIPE
+                       else (RowtextWriter, RTX_EXT))
 
     f, reader = _open_reader(csv_path)
     with f:
@@ -85,11 +91,7 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
             for b, cols in enumerate(batches):
                 slot = b % partitions
                 if slot >= len(writers):
-                    path = base / f"part-{next_part + slot:05d}{ext}"
-                    if fmt is StorageFormat.STRIPE:
-                        writers.append(StripeWriter(schema, path, stripe_size))
-                    else:
-                        writers.append(RowtextWriter(schema, path))
+                    writers.append(writer_cls(schema, base / f"part-{next_part + slot:05d}{ext}"))
                 writers[slot].append_columns(cols)
         except BaseException:
             for w in writers:
@@ -98,7 +100,7 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
 
     for slot, w in enumerate(writers):
         pid = next_part + slot
-        desc = w.close(partition_id=pid, worker_id=pid % DEFAULT_WORKERS)
+        desc = PartitionDescriptor(pid, pid % DEFAULT_WORKERS, str(w.path), fmt, w.close())
         entry = catalog.register_partition(schema.table_name, desc)
     return entry
 

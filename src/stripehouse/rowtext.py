@@ -19,7 +19,7 @@ import numpy as np
 
 from . import columns as C
 from .errors import IllegalCharacter, IoFailure, MalformedRecord
-from .schema import ColumnType, PartitionDescriptor, StorageFormat, TableSchema
+from .schema import ColumnType, TableSchema
 from .values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 
 DEFAULT_BATCH_ROWS = 4096
@@ -109,7 +109,8 @@ def _text(field) -> str:
 
 
 class RowtextWriter:
-    """Streaming writer of one block file; byte-deterministic for identical input."""
+    """Streaming writer of one block file; byte-deterministic for identical
+    input. Each ``append_columns`` call writes its batch's records, in order."""
 
     def __init__(self, schema: TableSchema, path):
         self.schema = schema
@@ -145,18 +146,13 @@ class RowtextWriter:
         self._f.close()
         self.path.unlink(missing_ok=True)
 
-    def close(self, *, partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
+    def close(self) -> int:
+        """Close the file; returns its row count."""
         try:
             self._f.close()
         except OSError as e:
             raise IoFailure(f"cannot write {self.path}: {e}") from e
-        return PartitionDescriptor(
-            partition_id=partition_id,
-            worker_id=worker_id,
-            path=str(self.path),
-            format=StorageFormat.ROWTEXT,
-            row_count=self._rows,
-        )
+        return self._rows
 
 
 def scan_rowtext_columnar(path, schema: TableSchema, needed: list[int],

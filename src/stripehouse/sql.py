@@ -77,30 +77,31 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("str", text[i:j + 1], "".join(parts), i))
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 is_float = True
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     is_float = True
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             lit = text[i:j]
-            if is_float:
-                tokens.append(Token("float", lit, float(lit), i))
-            else:
-                tokens.append(Token("int", lit, int(lit), i))
+            try:
+                value = float(lit) if is_float else int(lit)
+            except ValueError:  # past int()'s limit on the digits it converts
+                raise LexError(f"integer literal of {len(lit)} digits", i) from None
+            tokens.append(Token("float" if is_float else "int", lit, value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -22,6 +22,10 @@ String bounds keep at most the first 32 UTF-8 bytes; a truncated upper
 bound never prunes. NaN is excluded from float bounds and flagged so the
 pruning rule leaves such columns alone.
 
+``StripeWriter`` writes each ``append_columns`` batch as one stripe and
+never re-splits it: ingest (``ingest.ingest_csv``) decides the stripe and
+partition boundaries, and a shuffle spill is one batch, so one stripe.
+
 ``read_footer`` is the one footer parser and validator. Queries get their
 footers through ``cached_footer``, a process-wide cache in front of it. An
 entry is served only while the file's stamp (device, inode, size, mtime,
@@ -59,18 +63,10 @@ import numpy as np
 
 from . import columns as C
 from .errors import BadMagic, CorruptFooter, IoFailure
-from .schema import (
-    ColumnType,
-    PartitionDescriptor,
-    StorageFormat,
-    TableSchema,
-    schema_from_json,
-    schema_to_json,
-)
+from .schema import ColumnType, TableSchema, schema_from_json, schema_to_json
 
 MAGIC = b"STRP"
 EXTENSION = ".stp"
-DEFAULT_STRIPE_SIZE = 10_000
 STR_BOUND_BYTES = 32
 FOOTER_CACHE_BYTES = 32 << 20
 RACY_NS = 50_000_000  # well above a coarse (one-jiffy) file timestamp tick
@@ -151,25 +147,13 @@ def _pack_chunk(col: C.Column, ctype: ColumnType, n: int) -> bytes:
     return b"".join(parts)
 
 
-def _slice_column(col: C.Column, start: int, stop: int) -> C.Column:
-    valid = None if col.valid is None else col.valid[start:stop]
-    if isinstance(col, C.StrColumn):
-        o = col.offsets[start:stop + 1]
-        return C.StrColumn(o - o[0], col.buf[o[0]:o[-1]], valid)
-    return C.NumColumn(col.data[start:stop], valid)
-
-
 class StripeWriter:
-    """Streaming writer: buffers columns, emits full stripes as they fill."""
+    """Streaming writer of one stripe file: each ``append_columns`` call
+    writes one stripe. The caller decides the stripe boundaries."""
 
-    def __init__(self, schema: TableSchema, path, stripe_size: int = DEFAULT_STRIPE_SIZE):
-        if stripe_size <= 0:
-            raise ValueError("stripe_size must be positive")
+    def __init__(self, schema: TableSchema, path):
         self.schema = schema
         self.path = Path(path)
-        self.stripe_size = stripe_size
-        self._segments: list[list[C.Column]] = [[] for _ in schema.columns]
-        self._buffered = 0
         self._rows = 0
         self._stripe_dirs: list[dict] = []
         try:
@@ -181,35 +165,16 @@ class StripeWriter:
         self._pos = len(MAGIC)
 
     def append_columns(self, cols: list[C.Column]) -> None:
+        """Write ``cols`` as one stripe; an empty batch writes nothing."""
         n = len(cols[0]) if cols else 0
         if n == 0:
             return
-        for i, col in enumerate(cols):
-            self._segments[i].append(col)
-        self._buffered += n
-        while self._buffered >= self.stripe_size:
-            self._emit(self.stripe_size)
-
-    def _gather(self, count: int) -> list[C.Column]:
-        out = []
-        for i in range(self.schema.arity):
-            merged = C.concat(self._segments[i])
-            if len(merged) > count:
-                out.append(_slice_column(merged, 0, count))
-                self._segments[i] = [_slice_column(merged, count, len(merged))]
-            else:
-                out.append(merged)
-                self._segments[i] = []
-        return out
-
-    def _emit(self, count: int) -> None:
-        cols = self._gather(count)
         stripe_off = self._pos
         col_dirs = []
         try:
             for col, col_schema in zip(cols, self.schema.columns):
-                chunk = _pack_chunk(col, col_schema.ctype, count)
-                stats = _column_stats(col, col_schema.ctype, count)
+                chunk = _pack_chunk(col, col_schema.ctype, n)
+                stats = _column_stats(col, col_schema.ctype, n)
                 stats["offset"] = self._pos
                 stats["length"] = len(chunk)
                 col_dirs.append(stats)
@@ -221,21 +186,19 @@ class StripeWriter:
             {
                 "offset": stripe_off,
                 "length": self._pos - stripe_off,
-                "rows": count,
+                "rows": n,
                 "columns": col_dirs,
             }
         )
-        self._rows += count
-        self._buffered -= count
+        self._rows += n
 
     def abort(self) -> None:
         """Close and delete the partly written file."""
         self._f.close()
         self.path.unlink(missing_ok=True)
 
-    def close(self, *, partition_id: int = 0, worker_id: int = 0) -> PartitionDescriptor:
-        if self._buffered:
-            self._emit(self._buffered)
+    def close(self) -> int:
+        """Write the footer and close the file; returns its row count."""
         footer = {
             "schema": schema_to_json(self.schema),
             "rows": self._rows,
@@ -249,13 +212,7 @@ class StripeWriter:
             self._f.close()
         except OSError as e:
             raise IoFailure(f"cannot write {self.path}: {e}") from e
-        return PartitionDescriptor(
-            partition_id=partition_id,
-            worker_id=worker_id,
-            path=str(self.path),
-            format=StorageFormat.STRIPE,
-            row_count=self._rows,
-        )
+        return self._rows
 
 
 def read_footer(path) -> StripeFooter:

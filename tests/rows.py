@@ -8,9 +8,10 @@ import numpy as np
 
 from stripehouse import columns as C, planner
 from stripehouse.errors import TypeMismatch
-from stripehouse.rowtext import DEFAULT_BATCH_ROWS, RowtextWriter, scan_rowtext_columnar
+from stripehouse.ingest import DEFAULT_STRIPE_SIZE
+from stripehouse.rowtext import RowtextWriter, scan_rowtext_columnar
 from stripehouse.schema import ColumnType, PartitionDescriptor, StorageFormat, TableEntry
-from stripehouse.stripefile import DEFAULT_STRIPE_SIZE, EXTENSION, StripeWriter, read_stripe_columns
+from stripehouse.stripefile import EXTENSION, StripeWriter, read_stripe_columns
 from stripehouse.values import DAYS_MAX, DAYS_MIN, INT64_MAX, INT64_MIN
 
 _PYTYPE = {ColumnType.FLOAT64: (int, float), ColumnType.STRING: str}  # else int
@@ -41,13 +42,14 @@ def column_to_values(col: C.Column) -> list:
     return out if col.valid is None else [v if ok else None for v, ok in zip(out, col.valid)]
 
 
-def write_file(rows, schema, path, stripe_size=DEFAULT_STRIPE_SIZE, **ids):
-    """Write type-checked ``rows`` to ``path``; returns its PartitionDescriptor."""
-    stripe = Path(path).suffix == EXTENSION
-    writer = StripeWriter(schema, path, stripe_size) if stripe else RowtextWriter(schema, path)
+def write_file(rows, schema, path, stripe_size=DEFAULT_STRIPE_SIZE, partition_id=0):
+    """Write type-checked ``rows`` to ``path`` in batches of ``stripe_size``
+    rows, each a stripe of a ``.stp`` file; returns its PartitionDescriptor."""
+    fmt = StorageFormat.STRIPE if Path(path).suffix == EXTENSION else StorageFormat.ROWTEXT
+    writer = (StripeWriter if fmt is StorageFormat.STRIPE else RowtextWriter)(schema, path)
     it = iter(rows)
     try:
-        while batch := list(islice(it, stripe_size if stripe else DEFAULT_BATCH_ROWS)):
+        while batch := list(islice(it, stripe_size)):
             for row in batch:
                 check_row(row, schema)
             writer.append_columns([column_from_values([r[i] for r in batch], c.ctype)
@@ -55,7 +57,7 @@ def write_file(rows, schema, path, stripe_size=DEFAULT_STRIPE_SIZE, **ids):
     except BaseException:
         writer.abort()
         raise
-    return writer.close(**ids)
+    return PartitionDescriptor(partition_id, 0, str(Path(path)), fmt, writer.close())
 
 
 def scan_file(path, schema, projection=None, predicate=(), prune=True):

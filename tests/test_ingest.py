@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -268,3 +269,53 @@ def test_sort_by_string_orders_by_code_point(tmp_path, fmt):
     expected = sorted(((k, s or None) for k, s in rows),
                       key=lambda r: (r[1] is not None, r[1] or ""))
     assert got == expected
+
+
+# 23 rows, so 3 partitions of 4-row stripes get 2 stripes each, the last 3 rows
+PINNED_SCHEMA = [
+    ("id", ColumnType.INT64, False),
+    ("n", ColumnType.INT64, True),
+    ("name", ColumnType.STRING, True),
+    ("score", ColumnType.FLOAT64, True),
+    ("day", ColumnType.DATE, True),
+]
+PINNED_CSV = "id,n,name,score,day\n" + "".join(f"{i},{n},{s},{x},{d}\n" for i, n, s, x, d in [
+    (-9223372036854775808, "", "Zürich", "nan", "0001-01-01"),
+    (9223372036854775807, -9223372036854775808, "東京", "inf", "9999-12-31"),
+    (0, 9223372036854775807, "", "-inf", ""),
+    (1, 0, "€" * 12, "-0.0", "1970-01-01"),
+    (2, "", "a" * 40, "", "1969-12-31"),
+    *[(3 + k, k * 7 - 40, f"s{k % 5}" if k % 4 else "", f"{k / 8}" if k % 3 else "nan",
+       f"2020-01-{k + 1:02d}" if k % 6 else "") for k in range(18)],
+])
+PINNED_SHA256 = {
+    (StorageFormat.STRIPE, None): {
+        "part-00000.stp": "50899458cebb231bb221198d1b70a1c5a704211e101c9bdf92e380316c59d20c",
+        "part-00001.stp": "4603467258b2f5121e9edfb52e7e40953d3178792b6d7f955ba101fe341fcef7",
+        "part-00002.stp": "388ac37a34b11d468437e43c6a436d19ba85736e376e0ab4bb8d2c1e9ddd12f4",
+    },
+    (StorageFormat.ROWTEXT, None): {
+        "part-00000.rtx": "1392308a468883e198dfcdc1adc953d3c7f5923c8afdba45ac39aa304074db9d",
+        "part-00001.rtx": "2d8dc0d936f3469cf8185e1edf6abc6c5f2561eda0b23b34b895e534da83e982",
+        "part-00002.rtx": "a72f0a49916abf58dc0d1c4ad615807d1a9bbbad0a360c59c2ea22c9f9b2766e",
+    },
+    (StorageFormat.STRIPE, "name"): {
+        "part-00000.stp": "da02293f2586b8e93b09fc9abf40758fa85041b7ca0cf1f3015e102ebb328a1d",
+        "part-00001.stp": "8426505f47fc281707137f260469690c4513c0d2e7a0af073925948c253d989d",
+        "part-00002.stp": "717214e9b25a28ccecc8c901097a8ca72892e786d0707bf0227e96ba7d242426",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt, sort_by", list(PINNED_SHA256))
+def test_partition_bytes_pinned(tmp_path, fmt, sort_by):
+    # the storage byte formats and ingest's partition/stripe layout are fixed
+    # across versions: each file's sha256 is a constant
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(PINNED_CSV, encoding="utf-8")
+    cat = Catalog(tmp_path / "root")
+    cat.create_table(TableSchema.create("t", PINNED_SCHEMA), fmt)
+    entry = ingest_csv(cat, "t", csv_path, partitions=3, stripe_size=4, sort_by=sort_by)
+    got = {Path(p.path).name: hashlib.sha256(Path(p.path).read_bytes()).hexdigest()
+           for p in entry.partitions}
+    assert got == PINNED_SHA256[fmt, sort_by]

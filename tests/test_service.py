@@ -277,6 +277,20 @@ def test_query_error_audited_not_fatal(server):
     c.close()
 
 
+def test_non_decimal_digit_is_typed_query_error(server):
+    audit = server.config.audit_file
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    before = len(audit.read_text().splitlines())
+    resp = c.query("SELECT COUNT(*) FROM lab_procedure WHERE encounter_id = \u00b2")
+    assert resp["type"] == "error" and resp["code"] == "QUERY", resp
+    assert resp["message"].startswith("LexError")
+    records = [json.loads(line) for line in audit.read_text().splitlines()[before:]]
+    assert [(r["action"], r["decision"]) for r in records] == [("QUERY", "ERROR")]
+    assert c.ping() == {"type": "ok"}
+    c.close()
+
+
 def test_audit_bijection_and_fields(server):
     audit_path = server.config.audit_file
     before = len(audit_path.read_text().splitlines()) if audit_path.exists() else 0

@@ -55,6 +55,17 @@ def test_lex_error_offset():
     assert ei.value.offset == 8
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("SELECT COUNT(*) FROM t WHERE a = \u00b2", 33),  # superscript two: a digit, not decimal
+    ("WHERE a = 1.\u00b2", 12),
+    ("WHERE a = " + "1" * 5000, 10),  # more digits than int() converts
+], ids=["superscript", "superscript-fraction", "5000-digits"])
+def test_lex_bad_number(text, offset):
+    with pytest.raises(LexError) as ei:
+        tokenize(text)
+    assert ei.value.offset == offset
+
+
 def test_unterminated_string():
     with pytest.raises(LexError) as ei:
         tokenize("SELECT 'oops")
