@@ -23,9 +23,9 @@ from pathlib import Path
 
 from .datagen import GenSpec, encounter_schema, generate, lab_schema
 from .engine import Engine
-from .ingest import ingest_csv
+from .ingest import DEFAULT_STRIPE_SIZE, ingest_csv
 from .planner import ExecConfig, estimate_cost, plan
-from .schema import Catalog, StorageFormat
+from .schema import DEFAULT_PARTITIONS, Catalog, StorageFormat
 from .sql import compile_text
 
 SIMPLE_QUERY = "SELECT COUNT(*) FROM lab_procedure"
@@ -53,8 +53,8 @@ class BenchPlan:
     executors: tuple[int, ...] = DEFAULT_EXECUTORS
     repeats: int = 3
     seed: int = 42
-    partitions: int = 8
-    stripe_size: int = 10_000
+    partitions: int = DEFAULT_PARTITIONS
+    stripe_size: int = DEFAULT_STRIPE_SIZE
     bench_executors: int = 8  # E for scenario one/two cells
     cores: int = 3
 

@@ -19,7 +19,7 @@ from . import bench as benchmod
 from .datagen import GenSpec, encounter_schema, generate, lab_schema
 from .engine import Engine, ResultTable
 from .errors import InvalidConfig, StripehouseError, UnknownTable
-from .ingest import ingest_csv
+from .ingest import DEFAULT_STRIPE_SIZE, ingest_csv
 from .planner import (
     DEFAULT_COSTS,
     ExecConfig,
@@ -29,7 +29,14 @@ from .planner import (
     estimate_cost,
     plan,
 )
-from .schema import Catalog, ColumnType, StorageFormat, TableSchema, resolve_data_root
+from .schema import (
+    DEFAULT_PARTITIONS,
+    Catalog,
+    ColumnType,
+    StorageFormat,
+    TableSchema,
+    resolve_data_root,
+)
 from .sql import compile_text
 from .stripefile import dump_footer
 from .values import days_to_iso
@@ -323,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--format", dest="table_format", required=True,
                    choices=["rowtext", "stripe"])
-    p.add_argument("--partitions", type=int, default=8)
+    p.add_argument("--partitions", type=int, default=DEFAULT_PARTITIONS)
     p.add_argument("--csv", required=True)
-    p.add_argument("--stripe-size", type=int, default=10_000)
+    p.add_argument("--stripe-size", type=int, default=DEFAULT_STRIPE_SIZE)
     p.add_argument("--sort-by", default=None)
     p.add_argument("--root", default=None)
     p.set_defaults(fn=cmd_ingest)

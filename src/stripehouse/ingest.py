@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from . import columns as C
-from .errors import ArityError, HeaderMismatch, IoFailure, ParseError
+from .errors import ArityError, HeaderMismatch, IoFailure, ParseError, StripehouseError
 from .rowtext import EXTENSION as RTX_EXT, RowtextWriter, decode_column
 from .schema import (
     DEFAULT_PARTITIONS,
@@ -65,7 +65,11 @@ def ingest_csv(catalog: Catalog, table: str, csv_path, *,
 
     Returns the updated TableEntry. With ``sort_by`` the whole file is read,
     stably sorted on that column, then distributed; NULLs sort first.
+    ``partitions`` and ``stripe_size`` below 1 raise StripehouseError.
     """
+    for name, value in (("partitions", partitions), ("stripe_size", stripe_size)):
+        if value < 1:
+            raise StripehouseError(f"{name} must be at least 1, got {value}")
     entry = catalog.get_table(table)
     schema = entry.schema
     fmt = entry.format

@@ -8,6 +8,16 @@ Note the format cannot distinguish an empty string from NULL; both encode
 as an empty field and read back as NULL. A string holding ``|``, ``\\n`` or
 ``\\r`` cannot be written. ``encode_column`` and ``decode_column`` are the
 only code that knows this encoding.
+
+``decode_column`` parses INT64 and FLOAT64 fields that are plain decimals
+(an optional ``-``, ASCII digits, for FLOAT64 at most one ``.``) in one
+vectorized digit pass, exactly as ``int()`` / ``float()`` parse them: the
+mantissa is built in uint64, and the division by a power of ten rounds
+once, in float64 below 2**53 and above that in long double where it has
+a 64-bit mantissa, leaving out the rare quotient that long double rounds
+onto a float64 midpoint. Every other field, and every DATE field, is
+parsed by numpy's ``astype``, or field by field when that refuses one,
+with the same values and errors as without the pass.
 """
 
 from __future__ import annotations
@@ -61,9 +71,15 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     ``fields`` is a list of ``str``; for a STRING column it may also be a
     ``StrColumn`` of the fields' bytes, and for a number or DATE column an
     ``S`` array of ASCII fields holding no NUL byte (so each element is its
-    field's whole text, which numpy parses as it parses the ``str``). A list
-    with a field wider than ``WIDE_FIELD`` is parsed field by field, to the
-    same values.
+    field's whole text, which numpy parses as it parses the ``str``).
+
+    INT64 and FLOAT64 fields first go through one vectorized digit pass
+    (``_digit_pass``), which gives ``int()`` / ``float()``'s value bit for bit
+    for the plain decimals it takes. Every other field, and every DATE field,
+    is parsed by numpy's ``astype``, or field by field when ``astype``
+    refuses one, as it would be without the pass: same values, same errors.
+    A list with a field wider than ``WIDE_FIELD`` skips both array passes and
+    is parsed field by field, to the same values.
     For the first unparsable field, or INT64 outside int64 or DATE outside
     years 1-9999, raises the exception ``bad_field(index_in_fields, message)``
     returns, so each caller reports the position its own way.
@@ -73,29 +89,24 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
             fields = C.strings_column(fields, None)
         valid = np.diff(fields.offsets) != 0
         return C.StrColumn(fields.offsets, fields.buf, None if valid.all() else valid)
-    parsed, dtype, parse = _PARSERS[ctype]
-    try:
-        if isinstance(fields, list) and (max(map(len, fields), default=0) > WIDE_FIELD
-                                         or "\x00" in "".join(fields)):
-            raise ValueError  # astype would widen every cell, or drop a trailing NUL
+    dtype = _PARSERS[ctype][1]
+    data = np.zeros(len(fields), dtype)
+    if not len(fields):
+        return C.NumColumn(data, None)
+    if isinstance(fields, list) and (max(map(len, fields)) > WIDE_FIELD
+                                     or "\x00" in "".join(fields)):
+        # astype would widen every cell, or drop a trailing NUL
+        valid = np.fromiter(map(bool, fields), bool, len(fields))
+        rest = np.flatnonzero(valid)
+        texts = [fields[j] for j in rest]
+    else:
         u = np.asarray(fields)
         valid = u != u.dtype.type()
-        if not valid.all():
-            u = np.where(valid, u, u.dtype.type("1970-01-01" if ctype is ColumnType.DATE else "0"))
-        data = u.astype(parsed).view(dtype)
-    except (ValueError, OverflowError):  # parse field by field, in memory linear in the text
-        data, valid = np.zeros(len(fields), dtype), np.ones(len(fields), bool)
-        for j, text in enumerate(map(_text, fields)):
-            if text == "":
-                valid[j] = False
-                continue
-            try:
-                value = parse(text)
-            except (ValueError, OverflowError):
-                raise bad_field(j, f"unparsable {ctype.value} value {text!r}") from None
-            if ctype is ColumnType.INT64 and not INT64_MIN <= value <= INT64_MAX:
-                raise bad_field(j, f"INT64 value {text!r} out of range")
-            data[j] = value
+        todo = valid if ctype is ColumnType.DATE else valid & ~_digit_pass(u, ctype, data)
+        rest = np.flatnonzero(todo)
+        texts = u if len(rest) == len(u) else u[rest]
+    if len(rest):
+        data[rest] = _parse(texts, ctype, lambda j, message: bad_field(int(rest[j]), message))
     if ctype is ColumnType.DATE:
         outside = np.flatnonzero((data < DAYS_MIN) | (data > DAYS_MAX))
         if len(outside):
@@ -104,8 +115,124 @@ def decode_column(fields, ctype: ColumnType, bad_field) -> C.Column:
     return C.NumColumn(data, None if valid.all() else valid)
 
 
+def _parse(texts, ctype: ColumnType, bad_field) -> np.ndarray:
+    """Values of non-empty field texts, an ``S`` or ``U`` array parsed by one
+    ``astype``, or, when that refuses a field or ``texts`` is a list, field
+    by field in memory linear in the text."""
+    parsed, dtype, parse = _PARSERS[ctype]
+    if not isinstance(texts, list):
+        try:
+            return texts.astype(parsed).view(dtype)
+        except (ValueError, OverflowError):
+            pass
+    data = np.zeros(len(texts), dtype)
+    for j, text in enumerate(map(_text, texts)):
+        try:
+            value = parse(text)
+        except (ValueError, OverflowError):
+            raise bad_field(j, f"unparsable {ctype.value} value {text!r}") from None
+        if ctype is ColumnType.INT64 and not INT64_MIN <= value <= INT64_MAX:
+            raise bad_field(j, f"INT64 value {text!r} out of range")
+        data[j] = value
+    return data
+
+
+# 10**k for the k <= 19 digits after a point, exact as float64 up to 10**22
+# and as long double wherever it has a 64-bit mantissa (5**19 < 2**64)
+_POW10 = np.array([float(10**k) for k in range(20)])
+_POW10_LONG = np.multiply.accumulate(np.array([1] + [10] * 19, np.longdouble))
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def _digit_pass(u: np.ndarray, ctype: ColumnType, out: np.ndarray) -> np.ndarray:
+    """Parse the plain decimal fields of the ``S`` or ``U`` array ``u`` into
+    ``out``; returns the mask of the fields parsed.
+
+    A field is taken when it is an optional ``-`` then ASCII digits: for
+    INT64 1-18 of them, which always fit; for FLOAT64 at most 19, with at
+    most one ``.`` among them. The mantissa ``m`` of a FLOAT64 field with
+    ``k`` digits after the point is exact in uint64, and ``k <= 19``. With
+    ``m < 2**53``, ``m / 10.0**k`` divides two exact doubles and rounds once,
+    so it is ``float()``'s value (Clinger). Otherwise, where long double has
+    a 64-bit mantissa (``_EXTENDED``), the quotient of the two exact long
+    doubles is rounded once to 64 bits, then to float64; a quotient lying
+    exactly on a float64 midpoint could be rounded the wrong way the second
+    time, so that field is not taken, and without ``_EXTENDED`` neither is
+    any field with ``m >= 2**53``. The sign is applied last, so ``-0`` is
+    -0.0. Code units are read as they are, bytes or UCS-4, and none at or
+    above 0x80 is a digit. The pass works on ``DEFAULT_BATCH_ROWS`` rows at
+    a time, so its temporaries stay bounded. Its character counts are uint8,
+    so an array wider than ``WIDE_FIELD`` is left whole to ``astype``.
+    """
+    n = len(u)
+    codes = np.ascontiguousarray(u).view(np.uint8 if u.dtype.kind == "S" else np.uint32)
+    codes = codes.reshape(n, -1)
+    taken = np.zeros(n, bool)
+    if codes.shape[1] > WIDE_FIELD:
+        return taken
+    for lo in range(0, n, DEFAULT_BATCH_ROWS):
+        rows = slice(lo, lo + DEFAULT_BATCH_ROWS)
+        taken[rows] = _digit_chunk(codes[rows], ctype, out[rows])
+    return taken
+
+
+def _digit_chunk(codes: np.ndarray, ctype: ColumnType, out: np.ndarray) -> np.ndarray:
+    """``_digit_pass`` over ``codes``, one field's code units a row."""
+    rows, width = codes.shape
+    if codes.dtype != np.uint8:  # so that no code unit past ASCII wraps onto one
+        codes = np.minimum(codes, 0x80)
+    c = np.zeros((-(-width // 4) * 4, rows), np.uint8)
+    c[:width] = codes.T  # one field a column, NUL-padded to whole groups of 4
+    length = (c != 0).sum(0, dtype=np.uint8)
+    neg = c[0] == 45
+    dot = c == 46
+    c -= np.uint8(48)
+    digit = c < 10
+    n_digits = digit.sum(0, dtype=np.uint8)
+    n_dots = dot.sum(0, dtype=np.uint8)
+    is_float = ctype is ColumnType.FLOAT64
+    ok = ((n_digits + n_dots + neg == length) & (n_digits >= 1)
+          & (n_digits <= (19 if is_float else 18)) & (n_dots <= is_float))
+    if not ok.any():
+        return ok
+    # Horner's rule, exact in uint64 for 19 digits. Per character the pair
+    # (10, digit), or (1, 0) off a digit; neighbours join as (s, v), (s', v')
+    # -> (s s', v s' + v'): in pairs, in groups of 4 characters (uint16
+    # holds 10**4), then group after group
+    scale = digit.view(np.uint8) * np.uint8(9) + np.uint8(1)
+    c *= digit
+    scale, v = scale[0::2] * scale[1::2], c[0::2] * scale[1::2] + c[1::2]
+    scale, v = (scale[0::2].astype(np.uint16) * scale[1::2],
+                v[0::2].astype(np.uint16) * scale[1::2] + v[1::2])
+    m = v[0].astype(np.uint64)
+    for s, g in zip(scale[1:], v[1:]):
+        m *= s
+        m += g
+    if is_float:
+        dot_at = (dot.view(np.uint8) * np.arange(len(c), dtype=np.uint8)[:, None]).sum(
+            0, dtype=np.uint8)
+        k = np.where(ok & (n_dots > 0), length - 1 - dot_at, 0)
+        exact = m < 2**53
+        value = m.astype(np.float64) / _POW10[k]
+        if _EXTENDED:
+            wide = np.flatnonzero(ok & ~exact)
+            long = m[wide].astype(np.longdouble) / _POW10_LONG[k[wide]]
+            near = long.astype(np.float64)
+            # |long - near| has a few bits, exact in float64; on a midpoint it
+            # is half the gap to the neighbour (a quarter, below a power of 2)
+            err, gap = np.abs((long - near).astype(np.float64)), np.spacing(near)
+            value[wide] = near
+            exact[wide[(2 * err != gap) & (4 * err != gap)]] = True
+        ok &= exact
+    else:
+        value = m.view(np.int64)
+    np.negative(value, out=value, where=neg)
+    out[ok] = value[ok]
+    return ok
+
+
 def _text(field) -> str:
-    return field.decode() if isinstance(field, bytes) else field
+    return field.decode() if isinstance(field, bytes) else str(field)
 
 
 class RowtextWriter:

@@ -377,6 +377,11 @@ class _Handler(socketserver.BaseRequestHandler):
                     detail = e.message
                 decision, user = e.decision, e.user or user
                 body = {"type": "error", "code": e.code, "message": e.message}
+            except Exception as e:  # a fault no handler answered; the session goes on
+                traceback.print_exc()
+                message = f"{type(e).__name__}: {e}"
+                decision, detail = "ERROR", message if detail is None else detail
+                body = {"type": "error", "code": "SERVER", "message": message}
             try:
                 server.audit.append(user=user or "-", action=action, detail=detail,
                                     decision=decision, duration_s=time.perf_counter() - t0)

@@ -252,3 +252,19 @@ def test_cli_ingest_reports_partitions_written(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "ingested 100 rows into t (5 partitions, stripe)"
     assert out[1].startswith("wrote 4 of --partitions 4 partitions;")
+
+
+@pytest.mark.parametrize("flag, value", [("--stripe-size", "0"), ("--stripe-size", "-1"),
+                                         ("--partitions", "0")])
+def test_cli_ingest_layout_below_one_is_one_error_line(tmp_path, capsys, flag, value):
+    csv_file = tmp_path / "t.csv"
+    csv_file.write_text("x\n1\n2\n")
+    root = str(tmp_path / "db")
+    assert main(["create", "--table", "t", "--columns", "x:int64",
+                 "--format", "stripe", "--root", root]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--table", "t", "--format", "stripe", "--csv", str(csv_file),
+                 "--root", root, flag, value]) == 1
+    out, err = capsys.readouterr()
+    name = flag[2:].replace("-", "_")
+    assert (out, err) == ("", f"error: StripehouseError: {name} must be at least 1, got {value}\n")

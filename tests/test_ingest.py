@@ -12,6 +12,7 @@ from stripehouse.errors import (
     HeaderMismatch,
     IllegalCharacter,
     ParseError,
+    StripehouseError,
     UnknownTable,
 )
 from stripehouse.ingest import ingest_csv
@@ -183,6 +184,17 @@ def test_empty_csv_zero_partitions(tmp_path):
     entry = ingest_csv(cat, "t", csv_path)
     assert entry.partitions == ()
     assert entry.row_count == 0
+
+
+@pytest.mark.parametrize("partitions, stripe_size, name", [
+    (8, 0, "stripe_size"), (8, -1, "stripe_size"), (0, 10, "partitions"), (-2, 10, "partitions")])
+def test_layout_below_one_refused_before_reading(tmp_path, partitions, stripe_size, name):
+    # the CSV does not exist: reading it would raise IoFailure instead
+    cat = make_catalog(tmp_path / "root")
+    with pytest.raises(StripehouseError, match=f"^{name} must be at least 1, got -?[0-9]+$"):
+        ingest_csv(cat, "t", tmp_path / "missing.csv", partitions=partitions,
+                   stripe_size=stripe_size)
+    assert cat.get_table("t").partitions == ()
 
 
 KS_COLS = [("k", ColumnType.INT64, False), ("s", ColumnType.STRING, False)]

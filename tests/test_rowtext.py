@@ -4,6 +4,7 @@ import tracemalloc
 from datetime import date
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -213,6 +214,87 @@ def test_field_by_field_parse_is_bit_identical(case):
     assert (vectorized.valid is None) == (each.valid is None)
     if each.valid is not None:
         assert (vectorized.valid == each.valid).all()
+
+
+def _decimal(digits, point, minus):
+    if point is not None:
+        point = min(point, len(digits))
+        digits = digits[:point] + "." + digits[point:]
+    return "-" + digits if minus else digits
+
+
+def _midpoint(n, e, nudge):
+    # the float64 midpoint (2n + 1) / 2**e, for n of 53 bits, in decimal, cut
+    # to 19 significant digits and moved by nudge units of its last digit:
+    # now and then within 2**-64 of the midpoint, where a quotient rounded
+    # to 64 bits first lands on it
+    digits = str((2 * n + 1) * 5**e)  # e of them after the point
+    cut = max(len(digits) - 19, 0)
+    digits = str(int(digits[:len(digits) - cut]) + nudge)
+    point = len(digits) - (e - cut)
+    return digits[:point] + "." + digits[point:]
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=21) \
+    | st.integers(10**16, 10**19 - 1).map(str)  # 17-19-digit mantissas
+SIGN = st.booleans()
+PLAIN_FIELDS = {
+    ColumnType.INT64: st.builds(_decimal, DIGITS, st.none(), SIGN) | st.sampled_from(
+        ["", "-0", "007", "9223372036854775807", "-9223372036854775808"]),
+    ColumnType.FLOAT64: st.builds(_decimal, DIGITS, st.none() | st.integers(0, 21), SIGN)
+    | st.builds(_decimal, st.builds(_midpoint, st.integers(2**52, 2**53 - 1),
+                                    st.integers(0, 54), st.sampled_from([-1, 0, 1])),
+                st.none(), SIGN)
+    | st.sampled_from(["", "5.", ".5", "-0", "-0.0", "007", "9007199254740993"]),
+}
+
+
+def _per_field(texts, ctype):
+    """``int()`` / ``float()`` of each field as ``repr``, or the ``bad_field``
+    arguments of the first field they refuse."""
+    parse = int if ctype is ColumnType.INT64 else float
+    out = []
+    for j, text in enumerate(texts):
+        try:
+            value = None if text == "" else parse(text)
+        except ValueError:
+            return (j, f"unparsable {ctype.value} value {text!r}")
+        if ctype is ColumnType.INT64 and value is not None and not -(2**63) <= value < 2**63:
+            return (j, f"INT64 value {text!r} out of range")
+        out.append(repr(value))
+    return out
+
+
+@pytest.mark.parametrize("extended", [True, False], ids=["long-double", "double-only"])
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([ColumnType.INT64, ColumnType.FLOAT64]).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(PLAIN_FIELDS[t], min_size=1, max_size=30))),
+    lone=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from([".", "-", "1.5", "-2."])))
+@example(case=(ColumnType.FLOAT64, ["9007199254740993", "-0", "-0.0", "5.", ".5", "007"]),
+         lone=None)
+# m / 10**k rounded to 64 bits lands on a float64 midpoint (a quarter of the
+# gap below 2**33 in the first) though m / 10**k is not one; and with
+# m >= 2**53, m itself is no double
+@example(case=(ColumnType.FLOAT64, ["8589934591.999999523", "6644967136671.067871",
+                                    "9.045139995783513"]), lone=None)
+# fields of 257 digits: a character count of that many wraps to 1 in uint8
+@example(case=(ColumnType.FLOAT64, ["1" * 257, "2.5"]), lone=None)
+@example(case=(ColumnType.INT64, ["2", "1" * 257]), lone=None)
+def test_decode_numbers_equal_int_and_float(extended, case, lone):
+    # with extended off, 17-19-digit mantissas take the path of a platform
+    # whose long double is a plain double
+    ctype, texts = case
+    if lone is not None:
+        texts = texts[:lone[0] % len(texts)] + [lone[1]] + texts[lone[0] % len(texts):]
+    expected = _per_field(texts, ctype)
+    with mock.patch.object(rowtext, "_EXTENDED", extended, create=True):
+        for fields in (texts, np.array(texts, dtype="S")):
+            try:
+                col = decode_column(fields, ctype, lambda j, message: LookupError(j, message))
+                got = [repr(v) for v in column_to_values(col)]
+            except LookupError as e:
+                got = e.args
+            assert got == expected
 
 
 WIDE_FLOAT = "0." + "0" * 8000 + "1"  # 8003 characters, a valid FLOAT64 field

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stripehouse import stripefile
+from stripehouse import service, stripefile
 from stripehouse.engine import Engine
 from stripehouse.ingest import ingest_csv
 from stripehouse.service import (
@@ -417,6 +417,25 @@ def test_internal_error_audited_session_survives(server, monkeypatch):
     records = [json.loads(line) for line in server.config.audit_file.read_text().splitlines()]
     assert [(r["action"], r["decision"]) for r in records[-2:]] == [
         ("QUERY", "ERROR"), ("PING", ALLOWED)]
+
+
+def test_unanswered_fault_is_audited_server_error(server, monkeypatch, capsys):
+    # compile_text raising other than StripehouseError escapes _query's own answers
+    def fail(text, catalog):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(service, "compile_text", fail)
+    audit = server.config.audit_file
+    c = connect(server)
+    c.hello("alice", "s3cret")
+    before = len(audit.read_text().splitlines())
+    resp = c.query("SELECT COUNT(*) FROM lab_procedure")
+    assert resp == {"type": "error", "code": "SERVER", "message": "RuntimeError: boom"}
+    records = [json.loads(line) for line in audit.read_text().splitlines()[before:]]
+    assert [(r["action"], r["decision"]) for r in records] == [("QUERY", "ERROR")]
+    assert c.ping() == {"type": "ok"}
+    c.close()
+    assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_ingest_while_serving_is_visible(tmp_path):
