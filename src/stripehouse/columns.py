@@ -27,6 +27,10 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# ``StrColumn.eq_mask`` compares this many leading literal bytes over the
+# whole buffer; the rest of a longer literal is checked row by row
+EQ_SHIFT_BYTES = 8
+
 
 @dataclass
 class NumColumn:
@@ -71,13 +75,33 @@ class StrColumn:
         return [text[a:b] for a, b in zip(o, o[1:])]
 
     def eq_mask(self, lit: str) -> np.ndarray:
-        """Rows whose bytes equal ``lit``'s, NULL rows included when it is empty."""
+        """Rows whose bytes equal ``lit``'s, NULL rows included when it is empty.
+
+        Vectorized over the contiguous ``buf``, not row by row: byte j of the
+        literal is compared with the whole buffer shifted by j, for its first
+        ``EQ_SHIFT_BYTES`` bytes, and the AND of those compares is read once
+        at each row's start. A row of the literal's length that starts a
+        match of those bytes holds them, since its bytes are the next ones in
+        ``buf``. The rows still standing are checked on the rest of the
+        literal by one gather."""
         raw = np.frombuffer(lit.encode("utf-8"), dtype=np.uint8)
-        mask = np.diff(self.offsets) == len(raw)
-        if len(raw) and mask.any():
+        m = len(raw)
+        mask = np.diff(self.offsets) == m
+        if m == 0 or not mask.any():
+            return mask
+        head = min(m, EQ_SHIFT_BYTES)
+        n = len(self.buf) - head + 1  # positions a head-long match can start at
+        # one slot past the buffer, so that every row start, even of an empty
+        # last row, reads a slot; a row of m bytes starts before n
+        hit = np.zeros(len(self.buf) + 1, dtype=bool)
+        np.equal(self.buf[:n], raw[0], out=hit[:n])
+        for j in range(1, head):
+            hit[:n] &= self.buf[j:j + n] == raw[j]
+        mask &= hit[self.offsets[:-1]]
+        if m > head and mask.any():
             rows = np.flatnonzero(mask)
-            windows = self.buf[self.offsets[rows][:, None] + np.arange(len(raw))]
-            mask[rows] = (windows == raw).all(axis=1)
+            windows = self.buf[self.offsets[rows][:, None] + np.arange(head, m)]
+            mask[rows] = (windows == raw[head:]).all(axis=1)
         return mask
 
 
@@ -103,7 +127,9 @@ def padded(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -
     """``(rows, width)`` uint8 array: row r holds ``a[starts[r]:][:lengths[r]]``,
     cut or zero-padded to ``width`` (at least 1)."""
     g = sliding_window_view(np.concatenate((a, np.zeros(width, np.uint8))), width)[starts]
-    g[np.arange(width) >= lengths[:, None]] = 0
+    # the keep mask is compared in the narrowest type holding ``width``
+    t = np.min_scalar_type(width)
+    g *= np.arange(width, dtype=t) < np.minimum(lengths, width).astype(t)[:, None]
     return g
 
 

@@ -8,12 +8,15 @@ MetadataCount's, which sums the footers' row counts.
 
 Every query and every ``Engine`` share one pool of ``os.cpu_count() - 1``
 worker threads (at least one), made on the first query that needs it
-(morsel-driven scheduling, Leis et al., SIGMOD 2014). A query runs at most
-``min(config.slots, os.cpu_count())`` tasks at once: the calling thread
-and that many less one pool lanes pull a stage's tasks from one shared
-iterator, so a bound of 1 runs the query inline. ``config.slots`` still
-sets the R = E*C reducers. When a task fails, the tasks not yet started
-are skipped, the ones running are waited for, and then the error is raised.
+(morsel-driven scheduling, Leis et al., SIGMOD 2014). A stage whose tasks
+take in ``STAGE_LANE_ROWS`` rows or more runs at most
+``min(config.slots, os.cpu_count())`` tasks at once: the calling thread and
+that many less one pool lanes pull the stage's tasks from one shared
+iterator. A smaller stage, and every stage at 1x1, runs inline on the
+calling thread with no pool handoff. ``config.slots`` still sets the
+R = E*C reducers, so the tasks and their merge order do not depend on the
+lanes. When a task fails, the tasks not yet started are skipped, the ones
+running are waited for, and then the error is raised.
 
 A join runs in one of two shapes (the planner picks):
 
@@ -91,7 +94,11 @@ from .schema import ColumnType, StorageFormat, TableSchema, resolve_data_root
 from .sql import ResolvedQuery
 from .values import days_to_iso
 
+# rows of row text a scan decodes at once
 ENGINE_BATCH_ROWS = 65536
+# a stage whose tasks take in fewer rows runs inline: on 2 vCPU two lanes
+# paid for no stripe query under 40 000 rows (the crossover in CHANGES.md)
+STAGE_LANE_ROWS = 65536
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -560,7 +567,8 @@ class Engine:
                 tasks = []
                 for op in stage:
                     tasks.extend(state.tasks_for(op))
-                _run_tasks(tasks, lanes)
+                stage_rows = sum(map(state.input_rows, stage))
+                _run_tasks(tasks, lanes if stage_rows >= STAGE_LANE_ROWS else 1)
             rows = state.outputs[plan.stages[-1][0].op_id][0]  # the last stage's one task
         finally:
             if spill_dir is not None and spill_dir.exists():
@@ -629,6 +637,18 @@ class _QueryState:
         if isinstance(op, MetadataCountOp):
             return [lambda o=op: self._metadata_count(o)]
         raise AssertionError(f"unexpected op {op}")
+
+    def input_rows(self, op) -> int:
+        """Rows ``op``'s tasks take in, once the stages before it have run."""
+        if isinstance(op, ScanOp):
+            return op.rows_total
+        if isinstance(op, JoinOp) and not op.broadcast:
+            return sum(n for (op_id, _), n in self.bucket_rows.items()
+                       if op_id in (op.probe_input, op.build_input))
+        if isinstance(op, (ShuffleOp, AggPartialOp, JoinOp)):
+            batches = self.outputs[op.probe_input if isinstance(op, JoinOp) else op.input_op]
+            return sum(b.n_rows for b in batches.values() if b is not None)
+        return 0  # AggFinal and MetadataCount: one task
 
     # --- scan ---
 

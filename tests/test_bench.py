@@ -141,7 +141,9 @@ def test_perfbench_tracer_finds_every_wrapped_name(tmp_path):
             "tracer = spans.Tracer()\n"
             "spans.install(tracer, classify=workload.classify)\n"
             "scan = engine._QueryState._scan_task\n"
-            "# slower scan tasks, so that the pool's lanes take some of them\n"
+            "# every stage on lanes, even on this small data, and slower scan\n"
+            "# tasks, so that the pool's lanes take some of them\n"
+            "engine.STAGE_LANE_ROWS = 1\n"
             "engine._QueryState._scan_task = lambda *a: (time.sleep(0.01), scan(*a))[1]\n"
             "for root in sys.argv[1:]:\n"
             "    cat = schema.Catalog(root)\n"

@@ -1,7 +1,7 @@
 """The one string column against the same operations on Python lists."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stripehouse import columns as C, stripefile
 from stripehouse.rowtext import scan_rowtext_columnar
@@ -92,3 +92,47 @@ def test_concat_mixes_stripe_rowtext_and_value_parts(tmp_path_factory, parts, ki
         expected.extend(values)
     if cols:
         assert column_to_values(C.concat(cols)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=8) | st.binary(min_size=250, max_size=300), max_size=12),
+       st.sampled_from([1, 2, 5, 20, 255, 256, 257, 300]))
+@example([b"x" * 300, b"y" * 256, b"z" * 255, b""], 300)
+def test_padded_cuts_and_zero_pads_rows(rows, width):
+    # sort_key asks for widths past 255, which the keep mask must not wrap
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    a = np.frombuffer(b"".join(rows), np.uint8)
+    g = C.padded(a, C.str_offsets(lengths)[:-1], lengths, width)
+    assert g.shape == (len(rows), width)
+    assert [r.tobytes() for r in g] == [r[:width].ljust(width, b"\0") for r in rows]
+
+
+# few characters, so that rows and literals share prefixes and byte matches
+# straddle row boundaries; é and 日 are two and three UTF-8 bytes
+NEAR = st.text(st.sampled_from("abé日"), max_size=12)
+EQ_TEXT = NEAR | TEXT | NEAR.map(lambda s: "abcdefgh" + s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | EQ_TEXT, max_size=30), st.lists(EQ_TEXT, max_size=4),
+       st.lists(st.binary(max_size=4), max_size=31))
+@example(["ab", "cd"], ["bc"], [])
+@example(["abcdefgh", "abcdefghab", "abcdefghb", None, ""], ["abcdefghaa", "abcdefghab"], [])
+def test_eq_mask_matches_string_compare(values, literals, junk):
+    texts = ["" if v is None else v for v in values]
+    valid = np.array([v is not None for v in values], dtype=bool)
+    # the rows laid in a buffer with bytes between them, and gathered out
+    encoded = [t.encode() for t in texts]
+    junk = junk + [b""] * (len(texts) + 1 - len(junk))
+    a = np.frombuffer(b"".join(j + e for j, e in zip(junk, encoded + [b""])), np.uint8)
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    starts = np.cumsum([len(j) for j in junk[:len(texts)]], dtype=np.int64) \
+        + C.str_offsets(lengths)[:-1]
+    cols = [C.strings_column(texts, valid), C.gather_strings(a, starts, lengths, valid)]
+    # the empty literal, one longer than the whole buffer, and each row's
+    lits = {*literals, *texts, "", "".join(texts) + "a"}
+    for col in cols:
+        assert col.strings() == texts
+        for lit in lits:
+            # NULL rows are empty, so they equal only the empty literal
+            assert col.eq_mask(lit).tolist() == [t == lit for t in texts], lit

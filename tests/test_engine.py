@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -727,6 +728,8 @@ def _engine_threads() -> list[threading.Thread]:
 def test_pool_threads_bounded_by_cores(both_catalogs, monkeypatch):
     cat = both_catalogs[StorageFormat.STRIPE]
     reference, _ = run(cat, COMPLEX, executors=1, cores=1)
+    # every stage of this small data on lanes
+    monkeypatch.setattr(engine_mod, "STAGE_LANE_ROWS", 1)
     lock = threading.Lock()
     workers: set[int] = set()
     running = [0, 0]  # now, most at once
@@ -768,10 +771,66 @@ def test_serial_query_starts_no_pool_thread(both_catalogs, monkeypatch):
     assert set(_engine_threads()) <= before
 
 
-def test_two_engines_at_once(both_catalogs):
+def test_small_stages_run_inline_and_large_ones_on_lanes(both_catalogs, monkeypatch):
+    # a stage that takes in STAGE_LANE_ROWS rows or more gets min(E*C, cores)
+    # lanes and a smaller one runs inline: at 8x3 a pruned stripe query of
+    # fewer rows than that makes no pool, and below its rows it takes lanes
+    pruned_agg = ("SELECT COUNT(*), SUM(result_value), MIN(result_value), "
+                  "MAX(result_value) FROM lab_procedure WHERE lab_code = 'LC07'")
+    # COMPLEX's join is broadcast at the default budget and shuffled below
+    # the encounter table's 10 000 rows
+    cases = [(COMPLEX, 1_000_000), (COMPLEX, 9_999), (pruned_agg, 1_000_000)]
+    references = {(fmt, sql): run(cat, sql, executors=1, cores=1)[0].rows
+                  for fmt, cat in both_catalogs.items() for sql, _ in cases}
+    lanes: list[int] = []
+    run_tasks = engine_mod._run_tasks
+    monkeypatch.setattr(engine_mod, "_run_tasks",
+                        lambda tasks, n: (lanes.append(n), run_tasks(tasks, n))[1])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a query of small stages made the worker pool")
+
+    pool = engine_mod._pool
+    monkeypatch.setattr(engine_mod, "_pool", None)
+    monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_pool)
+    cat = both_catalogs[StorageFormat.STRIPE]
+    for sql, mem_rows in cases:
+        cfg = ExecConfig(executors=8, cores_per_executor=3, executor_mem_rows=mem_rows)
+        p = plan(compile_text(sql, cat), cat, cfg)
+        assert sum(op.rows_total for op in p.stages[0]) < engine_mod.STAGE_LANE_ROWS
+        assert Engine(cat.data_root).execute(p, cfg)[0].rows == \
+            references[StorageFormat.STRIPE, sql]
+    assert engine_mod._pool is None and set(lanes) == {1}
+
+    monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(engine_mod, "_pool", pool)
+    full = min(24, engine_mod._WORKERS)
+    # the pruned scan takes lanes at exactly its rows, and not one row below
+    cfg = ExecConfig(executors=8, cores_per_executor=3)
+    p = plan(compile_text(pruned_agg, cat), cat, cfg)
+    scanned = sum(op.rows_total for op in p.stages[0])
+    for unit, first in ((scanned, full), (scanned + 1, 1)):
+        monkeypatch.setattr(engine_mod, "STAGE_LANE_ROWS", unit)
+        lanes.clear()
+        assert Engine(cat.data_root).execute(p, cfg)[0].rows == \
+            references[StorageFormat.STRIPE, pruned_agg]
+        assert lanes[0] == first
+    monkeypatch.setattr(engine_mod, "STAGE_LANE_ROWS", 1)
+    for fmt, cat in both_catalogs.items():
+        for sql, mem_rows in cases:
+            lanes.clear()
+            res, _ = run(cat, sql, executors=8, cores=3, mem_rows=mem_rows)
+            assert res.rows == references[fmt, sql]
+            # every stage but the final one takes in rows
+            assert lanes[-1] == 1 and set(lanes[:-1]) == {full}, (fmt, sql, mem_rows, lanes)
+
+
+def test_two_engines_at_once(both_catalogs, monkeypatch):
     cat = both_catalogs[StorageFormat.STRIPE]
     sqls = [COMPLEX, "SELECT SUM(result_value), AVG(result_value) FROM lab_procedure"]
     expected = [run(cat, sql, executors=1, cores=1)[0].rows for sql in sqls]
+    # every stage on lanes, so that both queries share the pool
+    monkeypatch.setattr(engine_mod, "STAGE_LANE_ROWS", 1)
     start = threading.Barrier(2)
     got: dict[int, list] = {}
 
@@ -840,6 +899,8 @@ def test_failed_query_leaves_no_running_task(both_catalogs, monkeypatch):
                 ended.append(time.perf_counter())
 
     monkeypatch.setattr(engine_mod._QueryState, "_agg_partial_task", slow_partial)
+    # every stage on lanes, so that the partial tasks run on pool lanes too
+    monkeypatch.setattr(engine_mod, "STAGE_LANE_ROWS", 1)
     q = compile_text(sql, cat)
     cfg = ExecConfig(executors=4, cores_per_executor=3, executor_mem_rows=1_000)
     p = plan(q, cat, cfg, prune=False)
